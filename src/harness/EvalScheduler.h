@@ -6,10 +6,15 @@
 ///
 /// \file
 /// Batch engine over the EvalPipeline: fans the (workload ×
-/// ObfuscationMode) matrix — and, for diffing, the (cell × tool) task
-/// plane — across a std::thread pool. Four properties make parallel runs
-/// bit-for-bit reproducible at any thread count, shard decomposition and
-/// cache setting:
+/// ObfuscationMode) matrix across a std::thread pool. Every diffing
+/// front-end is a projection of ONE task plane over (workload × baseline
+/// build config × mode × tool): precisionMatrix and vulnRankMatrix are
+/// its single-config slice, confoundMatrix sweeps the config axis. Each
+/// task is one call to diffTask(), which runs EvalPipeline::diffTask
+/// in-process or ships the same task to a khaos-evald daemon (--connect),
+/// whose handler calls EvalPipeline::diffTask in turn. Four properties
+/// make parallel runs bit-for-bit reproducible at any thread count, shard
+/// decomposition, cache setting and executor:
 ///
 ///  1. Per-task isolation — every cell compiles into its own
 ///     Context/Module; shared pipeline artifacts are immutable and
@@ -53,16 +58,6 @@ struct EvalCell {
   size_t FlatIdx = 0;      ///< Row-major index into the matrix.
 };
 
-/// One task of the (cell × tool) plane: one diffing tool over one cell.
-/// Heavy tools (DeepBinDiff, VulSeeker — Table 1's time+memory column) get
-/// their own pool slots instead of serializing inside a cell worker; the
-/// cell's image pair is built once in the ArtifactStore and shared.
-struct EvalTask {
-  EvalCell Cell;
-  size_t ToolIdx = 0; ///< Position in the tool list.
-  size_t TaskIdx = 0; ///< Cell.FlatIdx * NumTools + ToolIdx.
-};
-
 /// Derives the per-cell seed from the run's base seed, the workload's name
 /// and the mode — stable across thread counts and scheduling orders.
 uint64_t deriveCellSeed(uint64_t BaseSeed, const std::string &WorkloadName,
@@ -104,7 +99,7 @@ struct EvalRunStats {
   void countCell(bool Failed);
 
   /// Thread-safe: folds one image's pass telemetry into the totals
-  /// without counting a cell (the cell×tool planes count cells in their
+  /// without counting a cell (the diff-task plane counts cells in its
   /// deterministic post-pass instead).
   void mergePasses(const PassReport &R);
 
@@ -180,13 +175,6 @@ public:
                    const std::vector<ObfuscationMode> &Modes,
                    const std::function<void(const EvalCell &)> &Fn) const;
 
-  /// Runs \p Fn over the (owned cell × tool index) task plane — the unit
-  /// benches use when per-tool work dominates per-cell work.
-  void forEachCellTask(const std::vector<Workload> &Workloads,
-                       const std::vector<ObfuscationMode> &Modes,
-                       size_t NumTools,
-                       const std::function<void(const EvalTask &)> &Fn) const;
-
   //===--------------------------------------------------------------------===//
   // Batch front-ends over the EvalPipeline stages. Result vectors always
   // have one slot per matrix cell; slots of cells owned by other shards
@@ -227,11 +215,12 @@ public:
     std::vector<double> PerTool;
   };
 
-  /// Diffing over the (cell × tool) task plane: each task fetches the
-  /// cell's shared image pair from the ArtifactStore (built once per cell)
-  /// and runs one registry tool over it, so heavy tools never serialize a
-  /// cell. Every entry of \p ToolNames must be registered (hard error
-  /// otherwise — a silent mismatch would render as an all-zero figure row).
+  /// The diff-task plane at the scheduler's baseline config: each task
+  /// fetches the cell's shared image pair from the ArtifactStore (built
+  /// once per cell) and runs one registry tool over it, so heavy tools
+  /// never serialize a cell. Every entry of \p ToolNames must be
+  /// registered (hard error otherwise — a silent mismatch would render as
+  /// an all-zero figure row).
   std::vector<CellPrecision>
   precisionMatrix(const std::vector<Workload> &Workloads,
                   const std::vector<ObfuscationMode> &Modes,
@@ -248,9 +237,9 @@ public:
     std::vector<std::vector<uint32_t>> PerTool;
   };
 
-  /// trueMatchRank over the (cell × tool) task plane, sharing each cell's
-  /// cached image pair exactly like precisionMatrix. Tool names must be
-  /// registered (hard error otherwise).
+  /// trueMatchRank over the same single-config plane as
+  /// precisionMatrix. Tool names must be registered (hard error
+  /// otherwise).
   std::vector<CellRanks>
   vulnRankMatrix(const std::vector<Workload> &Workloads,
                  const std::vector<ObfuscationMode> &Modes,
@@ -269,12 +258,11 @@ public:
   /// The confound front-end: diffs every (workload, baseline config,
   /// mode, tool) combination, so a figure can separate what the *build
   /// delta* does to a tool (Mode == None columns) from what the
-  /// *obfuscation* adds on top. Cells are row-major over
-  /// (workload, config, mode) — Flat = (WI * NumConfigs + CI) * NumModes
-  /// + MI — and sharded/executed with precisionMatrix's determinism
-  /// guarantees. Per-cell seeds are derived from (workload, mode) alone,
-  /// deliberately config-independent: every config row diffs against the
-  /// *same* obfuscated B-side, so a warm sweep over N configs builds each
+  /// *obfuscation* adds on top. This is the diff-task plane itself; with
+  /// one config it is precisionMatrix's plane, cell for cell. Per-cell
+  /// seeds are derived from (workload, mode) alone, deliberately
+  /// config-independent: every config row diffs against the *same*
+  /// obfuscated B-side, so a warm sweep over N configs builds each
   /// obfuscated image once and each baseline once per config, nothing
   /// more. Works in --connect mode (the per-cell config travels in the
   /// DiffTask request).
@@ -286,50 +274,44 @@ public:
                  EvalRunStats *RunStats = nullptr) const;
 
 private:
-  /// Shared precisionMatrix/vulnRankMatrix plumbing: validates \p
-  /// ToolNames against the registry (abort on unknown), fans the (owned
-  /// cell × tool) task plane over the pool, fetches each task's cached
-  /// DiffOutcome (the cell's image pair is built once and shared;
-  /// subprocess backends round-trip at most once per key) and hands it
-  /// to \p Fn together with the images. A task whose tool failed at
-  /// runtime (DiffArtifact::Ok == false: worker timeout or crash past
-  /// retry) is reported loudly on stderr and counted into
-  /// RunStats.ToolFailures instead of running Fn — one hung backend
-  /// never stalls the shard. Returns per-cell image-build success,
-  /// indexed by FlatIdx (foreign-shard cells stay 0).
-  std::vector<uint8_t> runCellToolPlane(
-      const std::vector<Workload> &Workloads,
-      const std::vector<ObfuscationMode> &Modes,
-      const std::vector<std::string> &ToolNames,
-      const std::function<void(const EvalTask &,
-                               const EvalPipeline::ImageArtifact &,
-                               const EvalPipeline::ImageArtifact &,
-                               const DiffOutcome &)> &Fn,
-      EvalRunStats *RunStats) const;
-  /// Remote twin of runCellToolPlane: ships each (cell × tool) task to
-  /// the daemon as a DiffTask request and feeds the response to \p Fn.
-  /// Same failure reporting, same CellOk bookkeeping, byte-identical
-  /// downstream output.
-  std::vector<uint8_t> remoteCellToolPlane(
-      const std::vector<Workload> &Workloads,
-      const std::vector<ObfuscationMode> &Modes,
-      const std::vector<std::string> &ToolNames,
-      const std::function<void(const EvalTask &, const EvalResponse &)> &Fn,
-      EvalRunStats *RunStats) const;
+  /// One cell of the diff-task plane: the tasks' results in ToolNames
+  /// order (default-initialized, ToolOk == false, for tasks that did not
+  /// diff).
+  struct PlaneCell {
+    bool Ran = false;
+    bool Ok = false; ///< The cell's image pair was built.
+    std::vector<DiffTaskResult> PerTool;
+  };
 
-  /// Borrows a connected client from the pool (one per concurrent
-  /// worker; new connections are opened on demand). die-on-failure: a
-  /// daemon that vanishes mid-run cannot produce a correct matrix.
-  std::unique_ptr<EvalClient> acquireClient() const;
-  void releaseClient(std::unique_ptr<EvalClient> C) const;
+  /// The one (workload × config × mode × tool) plane behind every diffing
+  /// front-end. Cells are row-major over (workload, config, mode) —
+  /// Flat = (WI * NumConfigs + CI) * NumModes + MI — and tasks are
+  /// cell-major, each cell's tools adjacent. Validates \p ToolNames
+  /// against the registry (abort on unknown). A task whose tool failed
+  /// at runtime (worker timeout or crash past retry) is reported loudly
+  /// on stderr and counted into RunStats.ToolFailures — one hung backend
+  /// never stalls the shard.
+  std::vector<PlaneCell>
+  diffPlane(const std::vector<Workload> &Workloads,
+            const std::vector<BuildConfig> &Configs,
+            const std::vector<ObfuscationMode> &Modes,
+            const std::vector<std::string> &ToolNames,
+            EvalRunStats *RunStats) const;
+
+  /// One task of the plane: EvalPipeline::diffTask in-process, or the
+  /// same task as one DiffTask request to the daemon (--connect).
+  DiffTaskResult diffTask(const Workload &W, const BuildConfig &BC,
+                          ObfuscationMode Mode, uint64_t Seed,
+                          const std::string &Tool) const;
+
+  /// One round trip to the daemon on a client borrowed from the pool
+  /// (one per concurrent worker; new connections are opened on demand).
+  /// die-on-failure: a daemon that vanishes mid-run, or rejects a
+  /// request, cannot produce a correct matrix.
+  EvalResponse callDaemon(const EvalRequest &Req) const;
 
   /// Runs Fn(0..N-1) on the worker pool (atomic-ticket work stealing).
   void runPool(size_t N, const std::function<void(size_t)> &Fn) const;
-
-  /// Enumerates the owned cells of the matrix, in row-major order.
-  std::vector<EvalCell>
-  ownedCells(const std::vector<Workload> &Workloads,
-             const std::vector<ObfuscationMode> &Modes) const;
 
   Config Cfg;
   unsigned Workers;

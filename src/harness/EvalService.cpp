@@ -7,7 +7,6 @@
 #include "harness/EvalService.h"
 
 #include "diffing/DiffWorkerProtocol.h"
-#include "diffing/Metrics.h"
 #include "harness/DifferentialFuzzer.h"
 
 #include <cerrno>
@@ -492,24 +491,14 @@ EvalResponse EvalServer::handle(const EvalRequest &Req) {
       BuildConfig BC;
       BC.Level = static_cast<OptLevel>(Req.BaselineLevel);
       BC.Codegen = BuildConfig::unpackCodegen(Req.BaselineCodegen);
-      auto A = Pipe.baselineImage(W, BC);
-      auto B = Pipe.obfuscatedImage(W, Req.Mode, Req.Seed);
+      DiffTaskResult R = Pipe.diffTask(W, BC, Req.Mode, Req.Seed, Req.Tool);
       Resp.Ok = true;
-      Resp.ImagesOk = (A->Ok && B->Ok) ? 1 : 0;
-      if (!Resp.ImagesOk || Req.Tool.empty())
-        return Resp;
-      auto D = Pipe.diffOutcome(W, BC, Req.Mode, Req.Seed, Req.Tool, A, B);
-      Resp.ToolOk = D->Ok ? 1 : 0;
-      if (!D->Ok) {
-        Resp.ToolError = D->Error;
-        return Resp;
-      }
-      Resp.Precision = D->Outcome.Precision;
-      Resp.Similarity = D->Outcome.Similarity;
-      Resp.VulnRanks.reserve(W.VulnFunctions.size());
-      for (const std::string &V : W.VulnFunctions)
-        Resp.VulnRanks.push_back(
-            trueMatchRank(A->Image, B->Image, D->Outcome.Raw, V));
+      Resp.ImagesOk = R.ImagesOk ? 1 : 0;
+      Resp.ToolOk = R.ToolOk ? 1 : 0;
+      Resp.ToolError = std::move(R.ToolError);
+      Resp.Precision = R.Precision;
+      Resp.Similarity = R.Similarity;
+      Resp.VulnRanks = std::move(R.VulnRanks);
       return Resp;
     }
     case EvalWireKind::FuzzBatch: {

@@ -70,11 +70,13 @@ enum class EvalWireKind : uint8_t {
   /// One overhead-matrix cell: run (workload, mode, seed) and report the
   /// runtime overhead percentage.
   Overhead = 2,
-  /// One (cell × tool) task: build the cell's image pair, run one
-  /// registry diff tool, report precision/similarity plus the search
-  /// ranks of the workload's vulnerable functions. An empty tool name
-  /// builds the images only (the probe the plane's ToolIdx-0 bookkeeping
-  /// uses when no tools are requested).
+  /// One task of the scheduler's diff-task plane — the unit behind
+  /// precisionMatrix, vulnRankMatrix and confoundMatrix alike. The daemon
+  /// answers it with EvalPipeline::diffTask, the call an in-process task
+  /// makes: the cell's image pair (A-side at the request's build config),
+  /// one registry diff tool, precision/similarity plus the search ranks
+  /// of the workload's vulnerable functions. An empty tool name builds
+  /// the images only (the plane's probe when no tools are requested).
   DiffTask = 3,
   /// One deterministic fuzz batch: (seed, budget, engine, cross-vm) in,
   /// verdict text + counters out.

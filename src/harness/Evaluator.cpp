@@ -9,9 +9,12 @@
 #include "diffing/DiffWorkerProtocol.h"
 #include "diffing/Metrics.h"
 #include "frontend/IRGen.h"
+#include "harness/DifferentialFuzzer.h"
 #include "vm/PrecompiledInterpreter.h"
 #include "ir/Verifier.h"
 #include "transform/Cloning.h"
+
+#include <algorithm>
 
 using namespace khaos;
 
@@ -469,6 +472,33 @@ DiffImages EvalPipeline::diffImages(const Workload &W, ObfuscationMode Mode,
   return Out;
 }
 
+DiffTaskResult EvalPipeline::diffTask(const Workload &W, const BuildConfig &BC,
+                                      ObfuscationMode Mode, uint64_t Seed,
+                                      const std::string &Tool) {
+  DiffTaskResult Out;
+  auto A = baselineImage(W, BC);
+  auto B = obfuscatedImage(W, Mode, Seed);
+  Out.ImagesOk = A->Ok && B->Ok;
+  if (!Out.ImagesOk)
+    return Out;
+  Out.Passes = B->Report;
+  if (Tool.empty())
+    return Out;
+  auto D = diffOutcome(W, BC, Mode, Seed, Tool, A, B);
+  Out.ToolOk = D->Ok;
+  if (!D->Ok) {
+    Out.ToolError = D->Error;
+    return Out;
+  }
+  Out.Precision = D->Outcome.Precision;
+  Out.Similarity = D->Outcome.Similarity;
+  Out.VulnRanks.reserve(W.VulnFunctions.size());
+  for (const std::string &V : W.VulnFunctions)
+    Out.VulnRanks.push_back(
+        trueMatchRank(A->Image, B->Image, D->Outcome.Raw, V));
+  return Out;
+}
+
 bool EvalPipeline::overheadPercent(const Workload &W, ObfuscationMode Mode,
                                    double &OverheadOut, uint64_t Seed) {
   std::shared_ptr<const BaselineRunArtifact> Base = baselineRun(W);
@@ -480,6 +510,12 @@ bool EvalPipeline::overheadPercent(const Workload &W, ObfuscationMode Mode,
     return false;
   ExecOptions EO;
   EO.Engine = Cfg.Engine;
+  // The obfuscated twin gets the fuzzer's budget, scaled to the baseline:
+  // a hot baseline under a heavy mode (MBA) must not trip the fixed cap
+  // on a correct run. Never below the default cap.
+  EO.MaxSteps =
+      std::max(EO.MaxSteps,
+               Base->Run.Steps * DifferentialFuzzer::ObfStepsMultiplier);
   ExecResult ObfRun = runModule(*Obf.M, EO);
   if (!ObfRun.Ok)
     return false;

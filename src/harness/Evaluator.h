@@ -77,6 +77,23 @@ struct DiffOutcome {
   DiffResult Raw;
 };
 
+/// The answer to one (cell × tool) diff task — the unit every diffing
+/// matrix fans out, whether it runs in-process or on a khaos-evald daemon
+/// (whose DiffTask response carries it field for field).
+struct DiffTaskResult {
+  bool ImagesOk = false; ///< Both sides of the cell's image pair built.
+  bool ToolOk = false;   ///< The tool ran to completion (see ToolError).
+  std::string ToolError;
+  double Precision = 0.0;
+  double Similarity = 0.0;
+  /// trueMatchRank of each Workload::VulnFunctions entry (UINT32_MAX =
+  /// not found).
+  std::vector<uint32_t> VulnRanks;
+  /// Pass telemetry of the obfuscated image. Not on the wire: a remote
+  /// task reports it empty, the daemon's store keeps its own telemetry.
+  PassReport Passes;
+};
+
 /// The staged evaluation pipeline. One instance serves any number of
 /// threads: every stage entry point consults the ArtifactStore first, and
 /// computations are single-flight, so concurrent (cell × tool) tasks that
@@ -249,8 +266,18 @@ public:
   DiffImages diffImages(const Workload &W, ObfuscationMode Mode,
                         uint64_t Seed = 0xc906);
 
+  /// One (cell × tool) diff task: the cell's image pair (A-side built
+  /// under \p BC), the cached DiffOutcome of registry tool \p Tool over
+  /// it, and the search ranks of W's vulnerable functions. An empty \p
+  /// Tool builds the images only. \p Tool must be registered.
+  DiffTaskResult diffTask(const Workload &W, const BuildConfig &BC,
+                          ObfuscationMode Mode, uint64_t Seed,
+                          const std::string &Tool);
+
   /// Runtime overhead of \p Mode on \p W in percent (VM dynamic cost ratio
-  /// against the cached baseline run). Returns false on any
+  /// against the cached baseline run). The obfuscated run's step budget
+  /// scales with the baseline's steps (DifferentialFuzzer's multiplier,
+  /// never below the default cap). Returns false on any
   /// execution/verification failure.
   bool overheadPercent(const Workload &W, ObfuscationMode Mode,
                        double &OverheadOut, uint64_t Seed = 0xc906);

@@ -11,10 +11,13 @@
 /// warm confound run recompiles nothing (exactly one baseline
 /// compile per (workload, config), ever), the union of sharded confound
 /// runs equals the unsharded run, thread count does not change a single
-/// number, and the semdiff backend is registered with its subprocess twin.
+/// number, the single-config front-ends (precisionMatrix, vulnRankMatrix)
+/// are slices of the confound plane, and the semdiff backend is
+/// registered with its subprocess twin.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "diffing/Metrics.h"
 #include "harness/EvalScheduler.h"
 #include "workloads/Suites.h"
 
@@ -298,6 +301,69 @@ TEST(ConfoundMatrix, ThreadCountDoesNotChangeResults) {
     EXPECT_EQ(A[I].PerToolPrecision, B[I].PerToolPrecision) << "cell " << I;
     EXPECT_EQ(A[I].PerToolSimilarity, B[I].PerToolSimilarity)
         << "cell " << I;
+  }
+}
+
+/// precisionMatrix and vulnRankMatrix are projections of the confound
+/// plane at the scheduler's baseline config: they must reproduce that
+/// config's slice of a two-config confoundMatrix cell for cell.
+TEST(ConfoundMatrix, SingleConfigFrontEndsAreSlicesOfThePlane) {
+  std::vector<Workload> Suite = smallSuite(2);
+  // Rank targets: the first two functions of each workload's baseline.
+  EvalPipeline Probe;
+  for (Workload &W : Suite) {
+    auto Img = Probe.baselineImage(W);
+    ASSERT_TRUE(Img->Ok);
+    ASSERT_GE(Img->Image.Functions.size(), 2u);
+    W.VulnFunctions = {Img->Image.Functions[0].Name,
+                       Img->Image.Functions[1].Name};
+  }
+  std::vector<BuildConfig> Configs = twoLevels();
+  const size_t BaselineCI = 1;
+  ASSERT_EQ(Configs[BaselineCI], EvalScheduler::Config{}.Baseline);
+
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads);
+    EvalScheduler Sched({Threads, /*Seed=*/0xc906});
+    auto Prec = Sched.precisionMatrix(Suite, TestModes, TestTools);
+    auto Ranks = Sched.vulnRankMatrix(Suite, TestModes, TestTools);
+    auto Plane = Sched.confoundMatrix(Suite, Configs, TestModes, TestTools);
+    ASSERT_EQ(Prec.size(), Suite.size() * TestModes.size());
+    ASSERT_EQ(Ranks.size(), Prec.size());
+    ASSERT_EQ(Plane.size(), Prec.size() * Configs.size());
+
+    for (size_t WI = 0; WI != Suite.size(); ++WI)
+      for (size_t MI = 0; MI != TestModes.size(); ++MI) {
+        const size_t Flat = WI * TestModes.size() + MI;
+        const auto &Slice =
+            Plane[(WI * Configs.size() + BaselineCI) * TestModes.size() + MI];
+        ASSERT_TRUE(Slice.Ran);
+        ASSERT_TRUE(Slice.Ok);
+        EXPECT_EQ(Prec[Flat].Ran, Slice.Ran) << Flat;
+        EXPECT_EQ(Prec[Flat].Ok, Slice.Ok) << Flat;
+        EXPECT_EQ(Prec[Flat].PerTool, Slice.PerToolPrecision) << Flat;
+        EXPECT_EQ(Ranks[Flat].Ran, Slice.Ran) << Flat;
+        EXPECT_EQ(Ranks[Flat].Ok, Slice.Ok) << Flat;
+
+        // Ranks against an independent trueMatchRank over the same
+        // cell's cached images and tool outcome.
+        const Workload &W = Suite[WI];
+        uint64_t Seed = deriveCellSeed(0xc906, W.Name, TestModes[MI]);
+        auto A = Sched.pipeline().baselineImage(W);
+        auto B = Sched.pipeline().obfuscatedImage(W, TestModes[MI], Seed);
+        ASSERT_EQ(Ranks[Flat].PerTool.size(), TestTools.size());
+        for (size_t TI = 0; TI != TestTools.size(); ++TI) {
+          auto D = Sched.pipeline().diffOutcome(W, TestModes[MI], Seed,
+                                                TestTools[TI], A, B);
+          ASSERT_TRUE(D->Ok);
+          std::vector<uint32_t> Expected;
+          for (const std::string &V : W.VulnFunctions)
+            Expected.push_back(
+                trueMatchRank(A->Image, B->Image, D->Outcome.Raw, V));
+          EXPECT_EQ(Ranks[Flat].PerTool[TI], Expected)
+              << Flat << " " << TestTools[TI];
+        }
+      }
   }
 }
 

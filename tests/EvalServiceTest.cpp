@@ -347,6 +347,12 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
       LocalSched.precisionMatrix(Suite, Modes, Tools, &LocalRun);
   auto LocalOverheads = LocalSched.overheadMatrix(Suite, Modes);
   auto LocalRanks = LocalSched.vulnRankMatrix(Suite, Modes, Tools);
+  // The confound plane, with its per-cell build config on the wire.
+  const std::vector<BuildConfig> Configs = {
+      BuildConfig::forLevel(OptLevel::O0), BuildConfig::forLevel(OptLevel::O2)};
+  EvalRunStats LocalConfoundRun;
+  auto LocalConfound = LocalSched.confoundMatrix(Suite, Configs, Modes, Tools,
+                                                 &LocalConfoundRun);
 
   EvalServer Server({freshSocket("sched"), inProcessConfig()});
   std::string Err;
@@ -362,6 +368,9 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
   auto RemoteCells = Remote.precisionMatrix(Suite, Modes, Tools, &RemoteRun);
   auto RemoteOverheads = Remote.overheadMatrix(Suite, Modes);
   auto RemoteRanks = Remote.vulnRankMatrix(Suite, Modes, Tools);
+  EvalRunStats RemoteConfoundRun;
+  auto RemoteConfound =
+      Remote.confoundMatrix(Suite, Configs, Modes, Tools, &RemoteConfoundRun);
 
   ASSERT_EQ(RemoteCells.size(), LocalCells.size());
   for (size_t I = 0; I != LocalCells.size(); ++I) {
@@ -377,6 +386,27 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
   ASSERT_EQ(RemoteRanks.size(), LocalRanks.size());
   for (size_t I = 0; I != LocalRanks.size(); ++I)
     EXPECT_EQ(RemoteRanks[I].PerTool, LocalRanks[I].PerTool) << "cell " << I;
+  // Bit for bit: doubles travel as raw IEEE-754 patterns.
+  ASSERT_EQ(RemoteConfound.size(),
+            Suite.size() * Configs.size() * Modes.size());
+  ASSERT_EQ(RemoteConfound.size(), LocalConfound.size());
+  auto Bits = [](const std::vector<double> &V) {
+    std::vector<uint64_t> Out(V.size());
+    std::memcpy(Out.data(), V.data(), V.size() * sizeof(double));
+    return Out;
+  };
+  for (size_t I = 0; I != LocalConfound.size(); ++I) {
+    EXPECT_EQ(RemoteConfound[I].Ran, LocalConfound[I].Ran);
+    EXPECT_EQ(RemoteConfound[I].Ok, LocalConfound[I].Ok);
+    EXPECT_EQ(Bits(RemoteConfound[I].PerToolPrecision),
+              Bits(LocalConfound[I].PerToolPrecision))
+        << "cell " << I;
+    EXPECT_EQ(Bits(RemoteConfound[I].PerToolSimilarity),
+              Bits(LocalConfound[I].PerToolSimilarity))
+        << "cell " << I;
+  }
+  EXPECT_EQ(RemoteConfoundRun.Cells, LocalConfoundRun.Cells);
+  EXPECT_EQ(RemoteConfoundRun.ToolFailures, LocalConfoundRun.ToolFailures);
 
   EXPECT_EQ(RemoteRun.Cells, LocalRun.Cells);
   EXPECT_EQ(RemoteRun.Failures, LocalRun.Failures);

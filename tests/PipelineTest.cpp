@@ -10,6 +10,7 @@
 #include "diffing/Metrics.h"
 #include "frontend/IRGen.h"
 #include "harness/BinTuner.h"
+#include "harness/DifferentialFuzzer.h"
 #include "harness/Evaluator.h"
 #include "harness/TableRenderer.h"
 #include "support/RNG.h"
@@ -339,6 +340,26 @@ TEST(Harness, OverheadMeasurementSane) {
   ASSERT_TRUE(Pipe.overheadPercent(W, ObfuscationMode::Fission, Ov));
   EXPECT_GT(Ov, -50.0);
   EXPECT_LT(Ov, 200.0);
+}
+
+/// A hot baseline under a heavy mode: 541.leela_r's MBA twin needs more
+/// than the fixed default step cap, so the obfuscated run's budget must
+/// scale with the baseline (as the fuzzer's does) or a correct run would
+/// be reported as a failed measurement.
+TEST(Harness, OverheadBudgetScalesWithBaselineSteps) {
+  Workload W;
+  for (Workload &X : specCpu2017Suite())
+    if (X.Name == "541.leela_r")
+      W = X;
+  ASSERT_FALSE(W.Source.empty());
+  EvalPipeline Pipe;
+  auto Base = Pipe.baselineRun(W);
+  ASSERT_TRUE(Base->Ok);
+  ASSERT_GT(Base->Run.Steps * DifferentialFuzzer::ObfStepsMultiplier,
+            ExecOptions{}.MaxSteps);
+  double Ov = 0.0;
+  ASSERT_TRUE(Pipe.overheadPercent(W, ObfuscationMode::MBA, Ov));
+  EXPECT_GT(Ov, 0.0);
 }
 
 TEST(Harness, BinTunerFindsSomething) {
