@@ -592,6 +592,16 @@ inline void reportScheduler(const EvalScheduler &S, const EvalRunStats &R) {
                  static_cast<unsigned long long>(R.Passes.BytesGrown));
 }
 
+/// Table headers: the \p Lead columns, then one column per mode named as
+/// the figure legends name it.
+inline std::vector<std::string>
+modeHeaders(std::vector<std::string> Lead,
+            const std::vector<ObfuscationMode> &Modes) {
+  for (ObfuscationMode M : Modes)
+    Lead.push_back(obfuscationModeName(M));
+  return Lead;
+}
+
 inline void printHeader(const char *Id, const char *Caption) {
   std::printf("==============================================================="
               "=\n%s — %s\n"

@@ -52,8 +52,7 @@ int main(int argc, char **argv) {
     }
 
   for (unsigned K : Ks) {
-    TableRenderer Table({"tool", "Sub", "Bog", "Fla", "FuFi.sep",
-                         "FuFi.ori", "FuFi.all"});
+    TableRenderer Table(modeHeaders({"tool"}, Modes));
     for (size_t TI = 0; TI != Tools.size(); ++TI) {
       std::vector<std::string> Row{Tools[TI]};
       for (size_t MI = 0; MI != Modes.size(); ++MI) {

@@ -20,25 +20,20 @@ namespace {
 void runSuite(EvalPipeline &Pipe, const char *Caption,
               std::vector<Workload> Suite) {
   struct Config {
-    const char *Name;
     ObfuscationMode Mode;
     bool BinTuner = false;
   };
   const Config Configs[] = {
-      {"Sub", ObfuscationMode::Sub},
-      {"Bog", ObfuscationMode::Bog},
-      {"Fla-10", ObfuscationMode::Fla10},
-      {"BinTuner", ObfuscationMode::None, true},
-      {"Fission", ObfuscationMode::Fission},
-      {"Fusion", ObfuscationMode::Fusion},
-      {"FuFi.sep", ObfuscationMode::FuFiSep},
-      {"FuFi.ori", ObfuscationMode::FuFiOri},
-      {"FuFi.all", ObfuscationMode::FuFiAll},
+      {ObfuscationMode::Sub},     {ObfuscationMode::Bog},
+      {ObfuscationMode::Fla10},   {ObfuscationMode::None, true},
+      {ObfuscationMode::Fission}, {ObfuscationMode::Fusion},
+      {ObfuscationMode::FuFiSep}, {ObfuscationMode::FuFiOri},
+      {ObfuscationMode::FuFiAll},
   };
 
   std::vector<std::string> Headers{"benchmark"};
   for (const Config &C : Configs)
-    Headers.push_back(C.Name);
+    Headers.push_back(C.BinTuner ? "BinTuner" : obfuscationModeName(C.Mode));
   TableRenderer Table(Headers);
 
   // Raw distances first; normalize by the per-suite maximum like the

@@ -43,8 +43,7 @@ int main(int argc, char **argv) {
   Suites.push_back({"SPEC CPU 2006", maybeThin(specCpu2006Suite())});
   Suites.push_back({"SPEC CPU 2017", maybeThin(specCpu2017Suite())});
 
-  TableRenderer Table({"suite", "Sub", "Bog", "Fla", "Fla-10", "Fission",
-                       "Fusion", "FuFi.sep", "FuFi.ori", "FuFi.all"});
+  TableRenderer Table(modeHeaders({"suite"}, Modes));
   std::vector<std::vector<double>> All(Modes.size());
 
   EvalRunStats Run;

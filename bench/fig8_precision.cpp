@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Figure 8: Precision@1 of the diffing tools against eight obfuscation
-/// configurations, averaged over T-I (SPEC) + T-II (CoreUtils). The
-/// default roster is the paper's five; `--tools` swaps in any registered
-/// backend (e.g. `--tools jtrans,orcas` for the post-paper rows). DeepBinDiff runs on the reduced suite, mirroring the
-/// paper's <40k-line restriction. Both matrices fan out over the
+/// Figure 8: Precision@1 of the diffing tools against every evaluated
+/// obfuscation configuration (allObfuscationModes(): the paper's eight
+/// plus MBA, StrEnc, IndCall and SplitBB), averaged over T-I (SPEC) +
+/// T-II (CoreUtils). The default tool roster is the paper's five;
+/// `--tools` swaps in any registered backend (e.g. `--tools jtrans,orcas`
+/// for the post-paper rows). DeepBinDiff runs on the reduced suite,
+/// mirroring the paper's <40k-line restriction. Both matrices fan out over the
 /// EvalScheduler's (cell × tool) task plane; pass --threads N to size the
 /// pool. Output is identical at every N, with the cache on or off
 /// (--no-cache), and composes across shard runs (--shards/--shard-index):
@@ -144,8 +146,7 @@ int main(int argc, char **argv) {
           : meanPrecision(SmallCells, Small.size(), Modes.size(),
                           HeavyTools.size());
 
-  TableRenderer Table({"tool", "Sub", "Bog", "Fla-10", "Fission", "Fusion",
-                       "FuFi.sep", "FuFi.ori", "FuFi.all"});
+  TableRenderer Table(modeHeaders({"tool"}, Modes));
   auto AddRows = [&](const std::vector<std::string> &Names,
                      const std::vector<std::vector<double>> &Means) {
     for (size_t TI = 0; TI != Names.size(); ++TI) {

@@ -15,7 +15,6 @@
 #include "vm/Interpreter.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -42,35 +41,6 @@ const char *khaos::divergenceKindName(DivergenceKind K) {
     return "engine-mismatch";
   }
   return "?";
-}
-
-bool khaos::parseObfuscationModeName(const std::string &Name,
-                                     ObfuscationMode &Out) {
-  auto Canon = [](const std::string &S) {
-    std::string C;
-    for (char Ch : S) {
-      if (Ch == '.' || Ch == '-' || Ch == '_')
-        continue;
-      C += static_cast<char>(std::tolower(static_cast<unsigned char>(Ch)));
-    }
-    return C;
-  };
-  const std::string Want = Canon(Name);
-  const ObfuscationMode All[] = {
-      ObfuscationMode::None,    ObfuscationMode::Sub,
-      ObfuscationMode::Bog,     ObfuscationMode::Fla,
-      ObfuscationMode::Fla10,   ObfuscationMode::MBA,
-      ObfuscationMode::StrEnc,  ObfuscationMode::IndCall,
-      ObfuscationMode::SplitBB, ObfuscationMode::Fission,
-      ObfuscationMode::Fusion,  ObfuscationMode::FuFiSep,
-      ObfuscationMode::FuFiOri, ObfuscationMode::FuFiAll,
-  };
-  for (ObfuscationMode M : All)
-    if (Canon(obfuscationModeName(M)) == Want) {
-      Out = M;
-      return true;
-    }
-  return false;
 }
 
 //===----------------------------------------------------------------------===//

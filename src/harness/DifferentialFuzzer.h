@@ -205,10 +205,6 @@ private:
   Config Cfg;
 };
 
-/// Parses an obfuscation mode by its obfuscationModeName() spelling
-/// (case-insensitive; accepts "FuFi.all" and "fufi_all" alike).
-bool parseObfuscationModeName(const std::string &Name, ObfuscationMode &Out);
-
 } // namespace khaos
 
 #endif // KHAOS_HARNESS_DIFFERENTIALFUZZER_H

@@ -73,6 +73,17 @@ bool readStrVec(WireReader &R, std::vector<std::string> &V) {
   return R.ok();
 }
 
+/// Reads a mode byte; false with \p Err when it names no mode (the
+/// daemon would otherwise run a nonexistent mode).
+bool readMode(WireReader &R, ObfuscationMode &Mode, std::string &Err) {
+  uint8_t Byte = R.u8();
+  Mode = static_cast<ObfuscationMode>(Byte);
+  if (isKnownObfuscationMode(Mode))
+    return true;
+  Err = "unknown obfuscation mode " + std::to_string(Byte);
+  return false;
+}
+
 } // namespace
 
 std::vector<uint8_t> khaos::encodeEvalRequest(const EvalRequest &Req) {
@@ -125,14 +136,16 @@ bool khaos::decodeEvalRequest(const std::vector<uint8_t> &Payload,
   case EvalWireKind::Overhead:
     Req.WorkloadName = R.str();
     Req.WorkloadSource = R.str();
-    Req.Mode = static_cast<ObfuscationMode>(R.u8());
+    if (!readMode(R, Req.Mode, Err))
+      return false;
     Req.Seed = R.u64();
     break;
   case EvalWireKind::DiffTask:
     Req.WorkloadName = R.str();
     Req.WorkloadSource = R.str();
     readStrVec(R, Req.VulnFunctions);
-    Req.Mode = static_cast<ObfuscationMode>(R.u8());
+    if (!readMode(R, Req.Mode, Err))
+      return false;
     Req.Seed = R.u64();
     Req.Tool = R.str();
     Req.BaselineLevel = R.u8();
@@ -371,7 +384,7 @@ bool EvalServer::start(std::string &Err) {
   }
   ListenFd = S;
   Stopping.store(false);
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Acceptor = std::thread([this, S] { acceptLoop(S); });
   return true;
 }
 
@@ -379,13 +392,15 @@ void EvalServer::stop() {
   if (ListenFd < 0)
     return;
   Stopping.store(true);
-  // Closing the listen socket pops the acceptor out of accept(); closing
-  // the connection sockets pops every serving thread out of its read.
+  // Shutting the listen socket down pops the acceptor out of accept();
+  // it is closed only after the acceptor exits, so its number cannot be
+  // reused under a still-running accept(). Shutting the connection
+  // sockets down pops every serving thread out of its read.
   ::shutdown(ListenFd, SHUT_RDWR);
-  ::close(ListenFd);
-  ListenFd = -1;
   if (Acceptor.joinable())
     Acceptor.join();
+  ::close(ListenFd);
+  ListenFd = -1;
   std::vector<std::thread> Threads;
   {
     std::lock_guard<std::mutex> Lock(ConnM);
@@ -404,13 +419,13 @@ void EvalServer::stop() {
   ::unlink(Cfg.SocketPath.c_str());
 }
 
-void EvalServer::acceptLoop() {
+void EvalServer::acceptLoop(int ListenSock) {
   for (;;) {
-    int Conn = ::accept(ListenFd, nullptr, nullptr);
+    int Conn = ::accept(ListenSock, nullptr, nullptr);
     if (Conn < 0) {
       if (errno == EINTR)
         continue;
-      return; // stop() closed the listen socket (or it failed hard).
+      return; // stop() shut the listen socket down (or it failed hard).
     }
     if (Stopping.load()) {
       ::close(Conn);

@@ -208,7 +208,9 @@ public:
   uint64_t requestsServed() const { return Served.load(); }
 
 private:
-  void acceptLoop();
+  /// Runs on the acceptor thread. \p ListenSock is passed by value:
+  /// ListenFd belongs to the thread that calls start() and stop().
+  void acceptLoop(int ListenSock);
   void serveConnection(int ConnFd);
   EvalResponse handle(const EvalRequest &Req);
 

@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 using namespace khaos;
 
@@ -16,6 +17,10 @@ TableRenderer::TableRenderer(std::vector<std::string> Headers)
     : Headers(std::move(Headers)) {}
 
 void TableRenderer::addRow(std::vector<std::string> Cells) {
+  if (Cells.size() > Headers.size())
+    throw std::logic_error(formatStr(
+        "TableRenderer: row of %zu cells under %zu headers", Cells.size(),
+        Headers.size()));
   Rows.push_back(std::move(Cells));
 }
 
@@ -24,7 +29,7 @@ std::string TableRenderer::render() const {
   for (size_t C = 0; C != Headers.size(); ++C)
     Widths[C] = Headers[C].size();
   for (const auto &Row : Rows)
-    for (size_t C = 0; C != Row.size() && C != Widths.size(); ++C)
+    for (size_t C = 0; C != Row.size(); ++C)
       Widths[C] = std::max(Widths[C], Row[C].size());
 
   auto RenderRow = [&](const std::vector<std::string> &Cells) {

@@ -23,6 +23,9 @@ class TableRenderer {
 public:
   explicit TableRenderer(std::vector<std::string> Headers);
 
+  /// Appends a row; missing trailing cells render blank. Throws
+  /// std::logic_error on a row with more cells than headers, which would
+  /// otherwise print values under the wrong column.
   void addRow(std::vector<std::string> Cells);
   /// Renders to a string (also convenient for tests).
   std::string render() const;

@@ -162,7 +162,8 @@ bool flattenFunction(Module &M, Function &F, RNG &Rng) {
 
 } // namespace
 
-unsigned khaos::runFlattening(Module &M, const OLLVMOptions &Opts) {
+unsigned khaos::runFlattening(Module &M, const OLLVMOptions &Opts,
+                              PassReport *) {
   RNG Rng(Opts.Seed);
   unsigned Count = 0;
   std::vector<Function *> Funcs;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <limits>
 #include <map>
 #include <memory>
@@ -19,62 +20,136 @@
 
 using namespace khaos;
 
+//===----------------------------------------------------------------------===//
+// The mode table: one row per ObfuscationMode, in figure-legend order.
+// Every per-mode fact — name, evaluated roster, fission prefix, fusion
+// candidate set, primitive step, post-opt flavour — lives here and nowhere
+// else.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Which functions a mode's fusion step may merge.
+enum class FusionSet : uint8_t {
+  None,   ///< No fusion step.
+  All,    ///< Every candidate FusionOptions admits (plain Fusion).
+  Sep,    ///< Only the sepFuncs fission created (FuFi.sep).
+  Ori,    ///< Only functions fission left untouched (FuFi.ori).
+  OriSep, ///< Both, untouched oriFuncs first (FuFi.all).
+};
+
+using PrimitiveFn = unsigned (*)(Module &, const OLLVMOptions &,
+                                 PassReport *);
+
+/// A mode's O-LLVM-style primitive step.
+struct PrimitiveStep {
+  const char *Name = nullptr; ///< Step name; nullptr = no primitive.
+  PrimitiveFn Run = nullptr;
+  double Ratio = 1.0;         ///< OLLVMOptions::Ratio.
+};
+
+struct ModeRow {
+  ObfuscationMode Mode;
+  const char *Name;
+  bool Evaluated;   ///< Listed by allObfuscationModes().
+  bool Fission;     ///< Pipeline starts with the fission prefix.
+  FusionSet Fusion;
+  PrimitiveStep Primitive = {};
+  /// Post-opt runs the cleanup-only CFG pass in simplifycfg's slot:
+  /// simplifycfg's threading/merging would stitch every SplitBB cut
+  /// straight back together, but its unreachable-block removal is still
+  /// required (the inliner leaves dead continuation blocks that fail the
+  /// verifier's dominance check).
+  bool CleanupOnlyCFG = false;
+};
+
+/// Step order within a mode: fission, fusion, primitive, registered extra
+/// passes, post-opt.
+const ModeRow ModeTable[] = {
+    // {Mode, Name, Evaluated, Fission, Fusion,
+    //  {primitive step, pass, ratio}, CleanupOnlyCFG}
+    {ObfuscationMode::None, "None", false, false, FusionSet::None},
+    {ObfuscationMode::Sub, "Sub", true, false, FusionSet::None,
+     {"substitution", runSubstitution}},
+    {ObfuscationMode::Bog, "Bog", true, false, FusionSet::None,
+     {"bogus-cfg", runBogusControlFlow}},
+    {ObfuscationMode::Fla, "Fla", false, false, FusionSet::None,
+     {"flattening", runFlattening}},
+    {ObfuscationMode::Fla10, "Fla-10", true, false, FusionSet::None,
+     {"flattening", runFlattening, 0.1}},
+    {ObfuscationMode::MBA, "MBA", true, false, FusionSet::None,
+     {"mba", runMBASubstitution}},
+    {ObfuscationMode::StrEnc, "StrEnc", true, false, FusionSet::None,
+     {"string-encryption", runStringEncryption}},
+    {ObfuscationMode::IndCall, "IndCall", true, false, FusionSet::None,
+     {"indirect-calls", runIndirectCalls}},
+    {ObfuscationMode::SplitBB, "SplitBB", true, false, FusionSet::None,
+     {"split-blocks", runSplitBasicBlocks}, /*CleanupOnlyCFG=*/true},
+    {ObfuscationMode::Fission, "Fission", true, true, FusionSet::None},
+    {ObfuscationMode::Fusion, "Fusion", true, false, FusionSet::All},
+    {ObfuscationMode::FuFiSep, "FuFi.sep", true, true, FusionSet::Sep},
+    {ObfuscationMode::FuFiOri, "FuFi.ori", true, true, FusionSet::Ori},
+    {ObfuscationMode::FuFiAll, "FuFi.all", true, true, FusionSet::OriSep},
+};
+
+const ModeRow *findRow(ObfuscationMode Mode) {
+  for (const ModeRow &Row : ModeTable)
+    if (Row.Mode == Mode)
+      return &Row;
+  return nullptr;
+}
+
+const ModeRow &rowOf(ObfuscationMode Mode) {
+  const ModeRow *Row = findRow(Mode);
+  assert(Row && "ObfuscationMode missing from the mode table");
+  return Row ? *Row : ModeTable[0];
+}
+
+} // namespace
+
 const std::vector<ObfuscationMode> &khaos::allObfuscationModes() {
-  static const std::vector<ObfuscationMode> Modes = {
-      ObfuscationMode::Sub,     ObfuscationMode::Bog,
-      ObfuscationMode::Fla10,   ObfuscationMode::MBA,
-      ObfuscationMode::StrEnc,  ObfuscationMode::IndCall,
-      ObfuscationMode::SplitBB, ObfuscationMode::Fission,
-      ObfuscationMode::Fusion,  ObfuscationMode::FuFiSep,
-      ObfuscationMode::FuFiOri, ObfuscationMode::FuFiAll,
-  };
+  static const std::vector<ObfuscationMode> Modes = [] {
+    std::vector<ObfuscationMode> Out;
+    for (const ModeRow &Row : ModeTable)
+      if (Row.Evaluated)
+        Out.push_back(Row.Mode);
+    return Out;
+  }();
   return Modes;
 }
 
 const char *khaos::obfuscationModeName(ObfuscationMode Mode) {
-  switch (Mode) {
-  case ObfuscationMode::None:
-    return "None";
-  case ObfuscationMode::Sub:
-    return "Sub";
-  case ObfuscationMode::Bog:
-    return "Bog";
-  case ObfuscationMode::Fla:
-    return "Fla";
-  case ObfuscationMode::Fla10:
-    return "Fla-10";
-  case ObfuscationMode::Fission:
-    return "Fission";
-  case ObfuscationMode::Fusion:
-    return "Fusion";
-  case ObfuscationMode::FuFiSep:
-    return "FuFi.sep";
-  case ObfuscationMode::FuFiOri:
-    return "FuFi.ori";
-  case ObfuscationMode::FuFiAll:
-    return "FuFi.all";
-  case ObfuscationMode::MBA:
-    return "MBA";
-  case ObfuscationMode::StrEnc:
-    return "StrEnc";
-  case ObfuscationMode::IndCall:
-    return "IndCall";
-  case ObfuscationMode::SplitBB:
-    return "SplitBB";
-  }
-  return "?";
+  const ModeRow *Row = findRow(Mode);
+  return Row ? Row->Name : "?";
+}
+
+bool khaos::isKnownObfuscationMode(ObfuscationMode Mode) {
+  return findRow(Mode) != nullptr;
+}
+
+bool khaos::parseObfuscationModeName(const std::string &Name,
+                                     ObfuscationMode &Out) {
+  auto Canon = [](const std::string &S) {
+    std::string C;
+    for (char Ch : S) {
+      if (Ch == '.' || Ch == '-' || Ch == '_')
+        continue;
+      C += static_cast<char>(std::tolower(static_cast<unsigned char>(Ch)));
+    }
+    return C;
+  };
+  const std::string Want = Canon(Name);
+  for (const ModeRow &Row : ModeTable)
+    if (Canon(Row.Name) == Want) {
+      Out = Row.Mode;
+      return true;
+    }
+  return false;
 }
 
 bool khaos::modeUsesFission(ObfuscationMode Mode) {
-  switch (Mode) {
-  case ObfuscationMode::Fission:
-  case ObfuscationMode::FuFiSep:
-  case ObfuscationMode::FuFiOri:
-  case ObfuscationMode::FuFiAll:
-    return true;
-  default:
-    return false;
-  }
+  const ModeRow *Row = findRow(Mode);
+  return Row && Row->Fission;
 }
 
 FissionPhase khaos::runFissionPhase(Module &M, const FissionOptions &Opts) {
@@ -129,9 +204,9 @@ std::vector<std::pair<std::string, std::function<std::unique_ptr<Pass>()>>>
   return Passes;
 }
 
-/// Fusion candidate names for the FuFi modes: eligible functions fission
-/// did not touch, in module order (fusion's candidate ordering is part of
-/// the reproducible-output contract).
+/// Fission-untouched fusion candidates: eligible functions fission did
+/// not touch, in module order (fusion's candidate ordering is part of the
+/// reproducible-output contract).
 std::vector<std::string> namesOfUnprocessed(const Module &M,
                                             const FissionPhase &Phase) {
   std::set<std::string> SepSet(Phase.SepFuncs.begin(), Phase.SepFuncs.end());
@@ -147,135 +222,55 @@ std::vector<std::string> namesOfUnprocessed(const Module &M,
   return Out;
 }
 
-/// Builds the step list of (Mode, Opts). When \p IncludeFission is false
-/// the caller has already run the fission prefix (finishFissionMode over a
-/// cached fission-stage artifact) and \p State->Phase is preset.
+/// The FuFi candidate set \p Set names, over \p M after fission.
+std::vector<std::string> fusionCandidates(const Module &M,
+                                          const FissionPhase &Phase,
+                                          FusionSet Set) {
+  std::vector<std::string> Out;
+  if (Set == FusionSet::Ori || Set == FusionSet::OriSep)
+    Out = namesOfUnprocessed(M, Phase);
+  if (Set == FusionSet::Sep || Set == FusionSet::OriSep)
+    Out.insert(Out.end(), Phase.SepFuncs.begin(), Phase.SepFuncs.end());
+  return Out;
+}
+
+/// Builds the step list of (Mode, Opts) from the mode's table row. When
+/// \p IncludeFission is false the caller has already run the fission
+/// prefix (finishFissionMode over a cached fission-stage artifact) and
+/// \p State->Phase is preset.
 std::vector<ObfStep> buildSteps(ObfuscationMode Mode,
                                 const KhaosOptions &Opts,
                                 std::shared_ptr<StepState> State,
                                 bool IncludeFission) {
+  const ModeRow &Row = rowOf(Mode);
   std::vector<ObfStep> Steps;
 
-  if (modeUsesFission(Mode)) {
-    if (IncludeFission)
-      Steps.push_back({"fission", [State, Opts](Module &M) {
-                         State->Phase = runFissionPhase(M, Opts.Fission);
-                         State->HavePhase = true;
-                         State->R.Fission = State->Phase.Stats;
-                       }});
-    if (Mode != ObfuscationMode::Fission)
-      Steps.push_back({"fusion", [State, Opts, Mode](Module &M) {
+  if (Row.Fission && IncludeFission)
+    Steps.push_back({"fission", [State, Opts](Module &M) {
+                       State->Phase = runFissionPhase(M, Opts.Fission);
+                       State->HavePhase = true;
+                       State->R.Fission = State->Phase.Stats;
+                     }});
+  if (Row.Fusion != FusionSet::None)
+    Steps.push_back({"fusion", [State, Opts, Set = Row.Fusion](Module &M) {
+                       FusionOptions FuOpt = Opts.Fusion;
+                       FuOpt.Seed = Opts.Seed;
+                       if (Set != FusionSet::All) {
                          assert(State->HavePhase &&
                                 "fusion step needs the fission phase");
-                         FusionOptions FuOpt = Opts.Fusion;
-                         FuOpt.Seed = Opts.Seed;
-                         const FissionPhase &Phase = State->Phase;
-                         switch (Mode) {
-                         case ObfuscationMode::FuFiSep:
-                           FuOpt.RestrictTo = Phase.SepFuncs;
-                           break;
-                         case ObfuscationMode::FuFiOri:
-                           FuOpt.RestrictTo = namesOfUnprocessed(M, Phase);
-                           break;
-                         case ObfuscationMode::FuFiAll:
-                           FuOpt.RestrictTo = namesOfUnprocessed(M, Phase);
-                           for (const std::string &S : Phase.SepFuncs)
-                             FuOpt.RestrictTo.push_back(S);
-                           break;
-                         default:
-                           break;
-                         }
-                         runFusion(M, State->R.Fusion, FuOpt);
-                       }});
-  } else {
-    switch (Mode) {
-    case ObfuscationMode::None:
-      break;
-    case ObfuscationMode::Sub:
-      Steps.push_back({"substitution", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runSubstitution(M, Base);
-                         State->R.Report.SitesRewritten +=
-                             State->R.BaselineSites;
-                       }});
-      break;
-    case ObfuscationMode::Bog:
-      Steps.push_back({"bogus-cfg", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites =
-                             runBogusControlFlow(M, Base);
-                         // Each bogus twin = one split tail + one clone.
-                         State->R.Report.BlocksSplit +=
-                             State->R.BaselineSites;
-                         State->R.Report.BlocksInserted +=
-                             State->R.BaselineSites * 2;
-                       }});
-      break;
-    case ObfuscationMode::Fla:
-    case ObfuscationMode::Fla10:
-      Steps.push_back({"flattening", [State, Opts, Mode](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio =
-                             Mode == ObfuscationMode::Fla ? 1.0 : 0.1;
-                         State->R.BaselineSites = runFlattening(M, Base);
-                       }});
-      break;
-    case ObfuscationMode::Fusion:
-      Steps.push_back({"fusion", [State, Opts](Module &M) {
-                         FusionOptions FuOpt = Opts.Fusion;
-                         FuOpt.Seed = Opts.Seed;
-                         runFusion(M, State->R.Fusion, FuOpt);
-                       }});
-      break;
-    case ObfuscationMode::MBA:
-      Steps.push_back({"mba", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runMBASubstitution(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::StrEnc:
-      Steps.push_back({"string-encryption", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runStringEncryption(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::IndCall:
-      Steps.push_back({"indirect-calls", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runIndirectCalls(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::SplitBB:
-      Steps.push_back({"split-blocks", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runSplitBasicBlocks(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    // These four take the modeUsesFission() branch above.
-    case ObfuscationMode::Fission:
-    case ObfuscationMode::FuFiSep:
-    case ObfuscationMode::FuFiOri:
-    case ObfuscationMode::FuFiAll:
-      break;
-    }
-  }
+                         FuOpt.RestrictTo =
+                             fusionCandidates(M, State->Phase, Set);
+                       }
+                       runFusion(M, State->R.Fusion, FuOpt);
+                     }});
+  if (const PrimitiveStep &P = Row.Primitive; P.Run)
+    Steps.push_back({P.Name, [State, Seed = Opts.Seed, P](Module &M) {
+                       OLLVMOptions Base;
+                       Base.Seed = Seed;
+                       Base.Ratio = P.Ratio;
+                       State->R.BaselineSites =
+                           P.Run(M, Base, &State->R.Report);
+                     }});
 
   {
     std::lock_guard<std::mutex> Lock(ExtraPassMutex);
@@ -290,13 +285,7 @@ std::vector<ObfStep> buildSteps(ObfuscationMode Mode,
   if (Opts.RunPostOpt) {
     std::map<std::string, unsigned> Occurrence;
     for (auto &P : buildOptPassList(Opts.PostOptLevel)) {
-      // simplifycfg's threading/merging would stitch every SplitBB cut
-      // straight back together, but its unreachable-block removal is
-      // still required (the inliner leaves dead continuation blocks that
-      // fail the verifier's dominance check). Swap in the cleanup-only
-      // flavour instead of dropping the slot.
-      if (Mode == ObfuscationMode::SplitBB &&
-          std::string(P->getName()) == "simplifycfg")
+      if (Row.CleanupOnlyCFG && std::string(P->getName()) == "simplifycfg")
         P = createCFGCleanupPass();
       unsigned K = ++Occurrence[P->getName()];
       std::shared_ptr<Pass> SP = std::move(P);

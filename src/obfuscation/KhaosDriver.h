@@ -55,6 +55,15 @@ const std::vector<ObfuscationMode> &allObfuscationModes();
 /// Printable mode name matching the paper's legends.
 const char *obfuscationModeName(ObfuscationMode Mode);
 
+/// True when \p Mode is one of the enumerators above (a mode byte read
+/// off the wire or disk may name none).
+bool isKnownObfuscationMode(ObfuscationMode Mode);
+
+/// Parses an obfuscation mode by its obfuscationModeName() spelling
+/// (case-insensitive, ignoring '.', '-' and '_': "FuFi.all", "fufi_all"
+/// and "fufiall" all name FuFiAll).
+bool parseObfuscationModeName(const std::string &Name, ObfuscationMode &Out);
+
 /// Result of one obfuscation run.
 struct ObfuscationResult {
   FissionStats Fission;

@@ -55,18 +55,26 @@ struct PassReport {
   }
 };
 
+/// Every pass below returns its transformation count and, given a
+/// \p Report, accumulates its telemetry into it (one signature, so the
+/// mode table can name any of them as a mode's primitive step).
+
 /// Instruction substitution: integer add/sub/xor/and/or are replaced by
-/// equivalent multi-instruction idioms.
-unsigned runSubstitution(Module &M, const OLLVMOptions &Opts = {});
+/// equivalent multi-instruction idioms. Reports each rewrite as a site.
+unsigned runSubstitution(Module &M, const OLLVMOptions &Opts = {},
+                         PassReport *Report = nullptr);
 
 /// Bogus control flow: blocks are guarded by an always-true opaque
 /// predicate on global state; the false edge leads to a scrambled clone
-/// that is never executed.
-unsigned runBogusControlFlow(Module &M, const OLLVMOptions &Opts = {});
+/// that is never executed. Reports each twin as one split block plus two
+/// inserted blocks (the split tail and the clone).
+unsigned runBogusControlFlow(Module &M, const OLLVMOptions &Opts = {},
+                             PassReport *Report = nullptr);
 
 /// Control-flow flattening: function bodies become a switch dispatcher
-/// driven by a state variable.
-unsigned runFlattening(Module &M, const OLLVMOptions &Opts = {});
+/// driven by a state variable. Reports nothing.
+unsigned runFlattening(Module &M, const OLLVMOptions &Opts = {},
+                       PassReport *Report = nullptr);
 
 /// Mixed boolean-arithmetic substitution: integer add/sub/xor/and/or are
 /// rewritten through MBA identities, and the helper ops those identities

@@ -29,7 +29,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 using namespace khaos;
 
@@ -199,6 +201,57 @@ TEST(ObfuscationSteps, NamesMatchTheModePipeline) {
   EXPECT_EQ(WithExtra.size(), Sub.size() + 1);
 }
 
+/// Every ObfuscationMode enumerator in declaration order. The values are
+/// the KEV1 mode byte and part of every ArtifactKey fingerprint, so the
+/// enum is append-only: a new mode goes at the end of this list too.
+const ObfuscationMode EveryMode[] = {
+    ObfuscationMode::None,    ObfuscationMode::Sub,
+    ObfuscationMode::Bog,     ObfuscationMode::Fla,
+    ObfuscationMode::Fla10,   ObfuscationMode::Fission,
+    ObfuscationMode::Fusion,  ObfuscationMode::FuFiSep,
+    ObfuscationMode::FuFiOri, ObfuscationMode::FuFiAll,
+    ObfuscationMode::MBA,     ObfuscationMode::StrEnc,
+    ObfuscationMode::IndCall, ObfuscationMode::SplitBB,
+};
+
+/// Bisection prefixes, repros and `khaos-fuzz --list-steps` all address
+/// steps by name, so every mode's step list is pinned here.
+TEST(ObfuscationSteps, NamesArePinnedForEveryMode) {
+  // Mode-specific lead steps, then the O2 post-opt pipeline (SplitBB runs
+  // the cleanup-only CFG pass in simplifycfg's slots).
+  auto Steps = [](std::vector<std::string> Lead,
+                  const std::string &CFG = "simplifycfg") {
+    for (const std::string &P :
+         {CFG + "#1", std::string("constfold#1"), std::string("dce#1"),
+          std::string("lvn#1"), std::string("loadfwd#1"),
+          std::string("dce#2"), std::string("inline#1"), CFG + "#2",
+          std::string("constfold#2"), std::string("lvn#2"),
+          std::string("loadfwd#2"), std::string("dce#3")})
+      Lead.push_back("post-opt:" + P);
+    return Lead;
+  };
+  const std::pair<ObfuscationMode, std::vector<std::string>> Pinned[] = {
+      {ObfuscationMode::None, Steps({})},
+      {ObfuscationMode::Sub, Steps({"substitution"})},
+      {ObfuscationMode::Bog, Steps({"bogus-cfg"})},
+      {ObfuscationMode::Fla, Steps({"flattening"})},
+      {ObfuscationMode::Fla10, Steps({"flattening"})},
+      {ObfuscationMode::Fission, Steps({"fission"})},
+      {ObfuscationMode::Fusion, Steps({"fusion"})},
+      {ObfuscationMode::FuFiSep, Steps({"fission", "fusion"})},
+      {ObfuscationMode::FuFiOri, Steps({"fission", "fusion"})},
+      {ObfuscationMode::FuFiAll, Steps({"fission", "fusion"})},
+      {ObfuscationMode::MBA, Steps({"mba"})},
+      {ObfuscationMode::StrEnc, Steps({"string-encryption"})},
+      {ObfuscationMode::IndCall, Steps({"indirect-calls"})},
+      {ObfuscationMode::SplitBB, Steps({"split-blocks"}, "cfg-cleanup")},
+  };
+  ASSERT_EQ(std::size(Pinned), std::size(EveryMode));
+  for (const auto &[Mode, Expected] : Pinned)
+    EXPECT_EQ(obfuscationStepNames(Mode), Expected)
+        << obfuscationModeName(Mode);
+}
+
 //===----------------------------------------------------------------------===//
 // Clean-pipeline behaviour and plumbing.
 //===----------------------------------------------------------------------===//
@@ -261,6 +314,22 @@ TEST(DifferentialFuzzer, ParseObfuscationModeNames) {
   ASSERT_TRUE(parseObfuscationModeName("sub", M));
   EXPECT_EQ(M, ObfuscationMode::Sub);
   EXPECT_FALSE(parseObfuscationModeName("nope", M));
+}
+
+TEST(DifferentialFuzzer, EveryModeNameRoundTrips) {
+  for (size_t I = 0; I != std::size(EveryMode); ++I) {
+    const ObfuscationMode Mode = EveryMode[I];
+    EXPECT_EQ(static_cast<size_t>(Mode), I);
+    EXPECT_TRUE(isKnownObfuscationMode(Mode));
+    const std::string Name = obfuscationModeName(Mode);
+    ObfuscationMode Parsed = static_cast<ObfuscationMode>(255);
+    ASSERT_TRUE(parseObfuscationModeName(Name, Parsed)) << Name;
+    EXPECT_EQ(Parsed, Mode) << Name;
+  }
+  // Every other byte names no mode.
+  for (unsigned V = std::size(EveryMode); V != 256; ++V)
+    EXPECT_FALSE(isKnownObfuscationMode(static_cast<ObfuscationMode>(V)))
+        << V;
 }
 
 /// A trap-divergence repro must name the faulting function and block

@@ -186,6 +186,17 @@ TEST(EvalWire, MalformedFramesAreRejectedNotCrashed) {
   std::vector<uint8_t> Trailing = Valid;
   Trailing.push_back(0);
   EXPECT_FALSE(decodeEvalRequest(Trailing, Req, Err));
+
+  // A well-framed request whose mode byte names no mode: the daemon must
+  // refuse it rather than run a nonexistent mode.
+  for (EvalWireKind Kind : {EvalWireKind::Overhead, EvalWireKind::DiffTask}) {
+    EvalRequest Bad = Whole;
+    Bad.Kind = Kind;
+    Bad.Mode = static_cast<ObfuscationMode>(200);
+    Err.clear();
+    EXPECT_FALSE(decodeEvalRequest(encodeEvalRequest(Bad), Req, Err));
+    EXPECT_EQ(Err, "unknown obfuscation mode 200");
+  }
 }
 
 TEST(EvalWire, Version2PeersAreRejectedByName) {
@@ -232,6 +243,24 @@ TEST(EvalServer, PingReportsDaemonConfiguration) {
   EXPECT_EQ(EvalRequest{}.BaselineLevel, Resp.BaselineLevel);
   EXPECT_EQ(EvalRequest{}.BaselineCodegen, Resp.BaselineCodegen);
   EXPECT_EQ(Server.requestsServed(), 1u);
+}
+
+TEST(EvalServer, UnknownModeByteIsAMalformedRequest) {
+  EvalServer Server({freshSocket("badmode"), inProcessConfig()});
+  std::string Err;
+  ASSERT_TRUE(Server.start(Err)) << Err;
+
+  EvalClient Client;
+  ASSERT_TRUE(Client.connect(Server.socketPath(), Err)) << Err;
+  EvalRequest Req;
+  Req.Kind = EvalWireKind::Overhead;
+  Req.WorkloadName = "badmode-wl";
+  Req.WorkloadSource = "int main() { return 0; }";
+  Req.Mode = static_cast<ObfuscationMode>(255);
+  EvalResponse Resp;
+  ASSERT_TRUE(Client.call(Req, Resp, Err)) << Err;
+  EXPECT_FALSE(Resp.Ok);
+  EXPECT_EQ(Resp.Error, "malformed request: unknown obfuscation mode 255");
 }
 
 TEST(EvalServer, DiffTaskMatchesInProcessPipeline) {

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 using namespace khaos;
 
@@ -391,6 +392,10 @@ TEST(Harness, TableRendererAlignsColumns) {
   T.addRow({"yyyy", "2"});
   std::string Out = T.render();
   EXPECT_NE(Out.find("| a    | long-header |"), std::string::npos);
+  // A short row renders blank cells; a row wider than the header would put
+  // values under the wrong column, so it must fail loudly.
+  T.addRow({"z"});
+  EXPECT_THROW(T.addRow({"w", "3", "extra"}), std::logic_error);
 }
 
 TEST(Harness, EscapeRatioBehavesAtExtremes) {
