@@ -10,26 +10,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
+#include <unordered_map>
 
 using namespace khaos;
 
-std::vector<double> khaos::tokenVector(uint64_t Token) {
-  // Cache: the token universe is tiny (opcodes + bigrams). Guarded because
-  // diffing tools run concurrently on the EvalScheduler pool; the value is
-  // a pure function of Token, so contention never changes results.
-  static std::mutex CacheMutex;
-  static std::map<uint64_t, std::vector<double>> Cache;
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Cache.find(Token);
-    if (It != Cache.end())
-      return It->second;
-  }
+const TokenVec &khaos::tokenVector(uint64_t Token) {
+  // The token universe is tiny (opcodes, bigrams, immediates), so each
+  // thread fills its own memo: diffing tools run concurrently on the
+  // EvalScheduler pool and never contend on it. Map nodes never move, so
+  // the returned reference survives later insertions.
+  thread_local std::unordered_map<uint64_t, TokenVec> Memo;
+  auto [It, Inserted] = Memo.try_emplace(Token);
+  TokenVec &V = It->second;
+  if (!Inserted)
+    return V;
 
   RNG Rng(Token * 0x9e3779b97f4a7c15ull + 0x1234);
-  std::vector<double> V(EmbeddingDim);
   double Norm = 0.0;
   for (double &X : V) {
     X = Rng.nextDouble() * 2.0 - 1.0;
@@ -39,14 +35,12 @@ std::vector<double> khaos::tokenVector(uint64_t Token) {
   if (Norm > 0)
     for (double &X : V)
       X /= Norm;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Cache[Token] = V;
   return V;
 }
 
 void khaos::accumulateToken(std::vector<double> &Acc, uint64_t Token,
                             double Scale) {
-  std::vector<double> V = tokenVector(Token);
+  const TokenVec &V = tokenVector(Token);
   if (Acc.size() != V.size())
     Acc.assign(V.size(), 0.0);
   for (unsigned I = 0; I != EmbeddingDim; ++I)
@@ -81,11 +75,9 @@ unsigned khaos::positionBucket(size_t Index, size_t Total) {
       std::min<size_t>(Bucket, NumPositionBuckets - 1));
 }
 
-double khaos::dotProduct(const std::vector<double> &A,
-                         const std::vector<double> &B) {
+double khaos::dotProduct(const TokenVec &A, const TokenVec &B) {
   double Dot = 0.0;
-  size_t N = std::min(A.size(), B.size());
-  for (size_t I = 0; I != N; ++I)
+  for (unsigned I = 0; I != EmbeddingDim; ++I)
     Dot += A[I] * B[I];
   return Dot;
 }

@@ -17,6 +17,7 @@
 #ifndef KHAOS_DIFFING_EMBEDDING_H
 #define KHAOS_DIFFING_EMBEDDING_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -25,8 +26,15 @@ namespace khaos {
 
 constexpr unsigned EmbeddingDim = 32;
 
-/// Deterministic pseudo-random vector for a token id.
-std::vector<double> tokenVector(uint64_t Token);
+/// One token's embedding.
+using TokenVec = std::array<double, EmbeddingDim>;
+
+/// Deterministic pseudo-random unit vector for a token id. Memoized per
+/// thread (a thread_local map, no lock): each thread computes a token's
+/// vector once, bit-identical on every thread, since it is a pure
+/// function of Token. The reference stays valid until the calling thread
+/// exits: later calls never move a stored vector.
+const TokenVec &tokenVector(uint64_t Token);
 
 /// Adds Scale * tokenVector(Token) into \p Acc.
 void accumulateToken(std::vector<double> &Acc, uint64_t Token,
@@ -65,8 +73,8 @@ constexpr unsigned NumPositionBuckets = 16;
 /// buckets only near bucket boundaries.
 unsigned positionBucket(size_t Index, size_t Total);
 
-/// Dot product of two equally-sized vectors (raw attention score).
-double dotProduct(const std::vector<double> &A, const std::vector<double> &B);
+/// Dot product of two token-space vectors (raw attention score).
+double dotProduct(const TokenVec &A, const TokenVec &B);
 
 /// Numerically stable softmax of \p Scores at temperature \p Temperature
 /// (> 0; lower = sharper). Returns weights summing to 1; empty input

@@ -69,14 +69,14 @@ std::vector<double> JTransTool::embed(const MFunction &MF,
                                       const FunctionFeatures &FF) {
   const size_t N = FF.TokenSeq.size();
 
-  // Attention pass 1: per-token vectors and their mean — the stand-in for
-  // the [CLS] query.
-  std::vector<std::vector<double>> TokVecs(N);
-  std::vector<double> Query(EmbeddingDim, 0.0);
+  // Attention pass 1: per-token vectors (pointers into tokenVector's
+  // per-thread memo) and their mean — the stand-in for the [CLS] query.
+  std::vector<const TokenVec *> TokVecs(N);
+  TokenVec Query{};
   for (size_t I = 0; I != N; ++I) {
-    TokVecs[I] = tokenVector(FF.TokenSeq[I]);
+    TokVecs[I] = &tokenVector(FF.TokenSeq[I]);
     for (unsigned K = 0; K != EmbeddingDim; ++K)
-      Query[K] += TokVecs[I][K];
+      Query[K] += (*TokVecs[I])[K];
   }
   if (N > 0)
     for (double &Q : Query)
@@ -87,7 +87,7 @@ std::vector<double> JTransTool::embed(const MFunction &MF,
   // embedding while still favouring the function's signature tokens.
   std::vector<double> Scores(N, 0.0);
   for (size_t I = 0; I != N; ++I)
-    Scores[I] = dotProduct(Query, TokVecs[I]);
+    Scores[I] = dotProduct(Query, *TokVecs[I]);
   std::vector<double> Attn = softmaxWeights(Scores, /*Temperature=*/0.25);
   // Rescale to sum N: appendSegment normalizes per segment, but the call
   // boost below must stay comparable across function sizes.

@@ -348,27 +348,25 @@ EvalScheduler::diffPlane(const std::vector<Workload> &Workloads,
                          Flat});
       }
 
-  // (cell × tool) tasks, cell-major: the cell's image pair is built once
-  // by whichever task gets there first (single-flight in the
-  // ArtifactStore) and shared. The ToolIdx-0 task records the cell's
-  // image-build outcome and folds its pass telemetry — cells are owned
-  // whole, so it always runs in this shard, and it is the cell's only
-  // writer of both. With no tools, that task builds the images only.
-  const size_t NumTools = ToolNames.empty() ? 1 : ToolNames.size();
+  // One ticket: first one image task (no tool) per cell, in cell order,
+  // so workers spread over different cells' builds instead of queueing
+  // in one cell's single-flight; it alone writes its cell's Ok and pass
+  // telemetry. The (cell × tool) tasks follow, cell-major.
+  const size_t NumCells = Cells.size();
   ArtifactStore::Snapshot Before = Pipe->store().stats();
-  runPool(Cells.size() * NumTools, [&](size_t I) {
-    const Cell &C = Cells[I / NumTools];
-    const size_t TI = I % NumTools;
-    DiffTaskResult R =
-        diffTask(*C.W, *C.BC, C.Mode, C.Seed,
-                 TI < ToolNames.size() ? ToolNames[TI] : std::string());
-    PlaneCell &Slot = Out[C.FlatIdx];
-    if (TI == 0) {
-      Slot.Ok = R.ImagesOk;
+  runPool(NumCells * (1 + ToolNames.size()), [&](size_t I) {
+    if (I < NumCells) {
+      const Cell &C = Cells[I];
+      DiffTaskResult R = diffTask(*C.W, *C.BC, C.Mode, C.Seed, "");
+      Out[C.FlatIdx].Ok = R.ImagesOk;
       if (RunStats)
         RunStats->mergePasses(R.Passes);
+      return;
     }
-    if (!R.ImagesOk || TI >= ToolNames.size())
+    const Cell &C = Cells[(I - NumCells) / ToolNames.size()];
+    const size_t TI = (I - NumCells) % ToolNames.size();
+    DiffTaskResult R = diffTask(*C.W, *C.BC, C.Mode, C.Seed, ToolNames[TI]);
+    if (!R.ImagesOk)
       return;
     if (!R.ToolOk) {
       // Loud per-task failure (timeout, crashed worker): the task
@@ -381,7 +379,7 @@ EvalScheduler::diffPlane(const std::vector<Workload> &Workloads,
         RunStats->countToolFailure();
       return;
     }
-    Slot.PerTool[TI] = std::move(R);
+    Out[C.FlatIdx].PerTool[TI] = std::move(R);
   });
 
   // Deterministic post-pass: count owned cells in row-major order.

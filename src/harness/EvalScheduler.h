@@ -285,8 +285,11 @@ private:
 
   /// The one (workload × config × mode × tool) plane behind every diffing
   /// front-end. Cells are row-major over (workload, config, mode) —
-  /// Flat = (WI * NumConfigs + CI) * NumModes + MI — and tasks are
-  /// cell-major, each cell's tools adjacent. Validates \p ToolNames
+  /// Flat = (WI * NumConfigs + CI) * NumModes + MI. All tasks share one
+  /// pool ticket: first one image task (empty tool) per cell, in cell
+  /// order, which builds the cell's pair and alone records its Ok and
+  /// pass telemetry; then the (cell × tool) tasks, cell-major, which
+  /// reuse that pair from the store. Validates \p ToolNames
   /// against the registry (abort on unknown). A task whose tool failed
   /// at runtime (worker timeout or crash past retry) is reported loudly
   /// on stderr and counted into RunStats.ToolFailures — one hung backend

@@ -22,10 +22,13 @@
 ///     over the transposed pair (no tool currently claims score symmetry,
 ///     so only shape is asserted);
 ///   * degenerate inputs — empty modules and single-function images
-///     neither crash nor produce malformed rankings.
+///     neither crash nor produce malformed rankings;
+///   * stable token embeddings — tokenVector's bits are pinned, and its
+///     per-thread memo gives every thread the serial accumulators.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "diffing/Embedding.h"
 #include "diffing/Metrics.h"
 #include "diffing/SubprocessDiffTool.h"
 #include "harness/EvalScheduler.h"
@@ -36,6 +39,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <thread>
 
 using namespace khaos;
 
@@ -248,6 +252,78 @@ TEST(DiffToolContractMatrix, ThreadCountAndRerunInvariance) {
       EXPECT_EQ(A, C) << Tools[TI];
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Token embeddings: every embedding tool's vectors come from tokenVector,
+// so its bits are part of every figure the learned-model rows print.
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a over a vector's raw element bits, in element order.
+uint64_t bitDigest(const std::vector<double> &V) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (double X : V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &X, 8);
+    for (unsigned I = 0; I != 8; ++I) {
+      H ^= (Bits >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  }
+  return H;
+}
+
+TEST(TokenVector, BitsArePinned) {
+  // One token from each vocabulary the tools use: a raw opcode, a
+  // 100 + class token, an opcode bigram, an immediate and a jtrans
+  // positional token. Any change to these digests changes every learned
+  // tool's scores.
+  struct Golden {
+    uint64_t Token;
+    uint64_t Digest;
+  };
+  const uint64_t Add = static_cast<uint64_t>(MOp::Add);
+  const uint64_t Mov = static_cast<uint64_t>(MOp::Mov);
+  const Golden Cases[] = {
+      {static_cast<uint64_t>(MOp::Call), 0x7604cfbc4a7d8fe6ull},
+      {100 + 3, 0xc95a399f02b08b0bull},
+      {bigramToken(Add, Mov), 0x5e40fd44e38af1f4ull},
+      {0x1000000ull + 42, 0x3f7ec7632a2745c3ull},
+      {bigramToken(0x3000 + 3, 7), 0x61decb8fff856e88ull},
+  };
+  for (const Golden &G : Cases) {
+    const TokenVec &V = tokenVector(G.Token);
+    EXPECT_EQ(bitDigest({V.begin(), V.end()}), G.Digest) << G.Token;
+    // A second lookup is served from the memo: same storage.
+    EXPECT_EQ(&tokenVector(G.Token), &V);
+  }
+}
+
+TEST(TokenVector, ConcurrentAccumulationMatchesSerial) {
+  // A stream mixing every vocabulary, long enough that each thread's
+  // memo rehashes while references into it are in use.
+  std::vector<uint64_t> Stream;
+  for (uint64_t I = 0; I != 1024; ++I) {
+    Stream.push_back(I % 64);
+    Stream.push_back(100 + I % 16);
+    Stream.push_back(bigramToken(I % 32, (I / 32) % 32));
+    Stream.push_back(0x1000000ull + I);
+  }
+  auto Accumulate = [&] {
+    std::vector<double> Acc;
+    for (size_t I = 0; I != Stream.size(); ++I)
+      accumulateToken(Acc, Stream[I], 1.0 + (double)(I % 7) / 8.0);
+    return bitDigest(Acc);
+  };
+  const uint64_t Serial = Accumulate();
+  uint64_t Threaded[4] = {};
+  std::vector<std::thread> Threads;
+  for (uint64_t &Slot : Threaded)
+    Threads.emplace_back([&Slot, &Accumulate] { Slot = Accumulate(); });
+  for (std::thread &T : Threads)
+    T.join();
+  for (uint64_t Digest : Threaded)
+    EXPECT_EQ(Digest, Serial);
 }
 
 } // namespace

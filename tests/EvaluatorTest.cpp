@@ -7,8 +7,9 @@
 /// \file
 /// Tests for the parallel evaluation batch engine: thread-count
 /// independence of EvalPipeline::obfuscate over a (workload × mode)
-/// matrix, graceful error surfacing for failing workloads, deterministic
-/// per-cell seeding, and the order-deterministic SeriesAccumulator.
+/// matrix, graceful error surfacing for failing workloads (in the compile
+/// matrix and in the diff plane), deterministic per-cell seeding, and the
+/// order-deterministic SeriesAccumulator.
 /// (Cache/shard behaviour is covered by PipelineCacheTest.)
 ///
 //===----------------------------------------------------------------------===//
@@ -19,6 +20,8 @@
 #include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace khaos;
 
@@ -159,6 +162,61 @@ TEST(EvalScheduler, FailingWorkloadSurfacesErrorNotCrash) {
   // The broken workload fails in every mode; the real ones all compile.
   EXPECT_EQ(Run.Failures, Modes.size());
   EXPECT_EQ(Run.Cells, Cells.size());
+}
+
+TEST(EvalScheduler, FailingWorkloadFailsOnlyItsDiffCells) {
+  std::vector<Workload> Suite = smallMatrixSuite();
+  Workload Broken;
+  Broken.Name = "does_not_parse";
+  Broken.Source = "int main( { return syntax error; }";
+  Suite.insert(Suite.begin() + 1, Broken);
+  const std::vector<ObfuscationMode> Modes = {
+      ObfuscationMode::Sub, ObfuscationMode::Fission, ObfuscationMode::FuFiAll};
+  const std::vector<std::string> Tools = {"BinDiff", "jtrans"};
+
+  // The plane's image tasks alone decide Ok; the tool tasks of a broken
+  // cell find no pair and leave their slots at -1 without counting as
+  // tool failures.
+  std::vector<std::vector<EvalScheduler::CellPrecision>> Runs;
+  for (unsigned Threads : {1u, 4u}) {
+    EvalScheduler Sched({Threads, /*Seed=*/0xc906});
+    EvalRunStats Run;
+    Runs.push_back(Sched.precisionMatrix(Suite, Modes, Tools, &Run));
+    ASSERT_EQ(Runs.back().size(), Suite.size() * Modes.size());
+    EXPECT_EQ(Run.Cells, Runs.back().size());
+    EXPECT_EQ(Run.Failures, Modes.size());
+    EXPECT_EQ(Run.ToolFailures, 0u);
+  }
+  for (size_t I = 0; I != Runs[0].size(); ++I) {
+    const auto &One = Runs[0][I], &Four = Runs[1][I];
+    ASSERT_EQ(One.PerTool.size(), Tools.size());
+    ASSERT_EQ(Four.PerTool.size(), Tools.size());
+    if (I / Modes.size() == 1) {
+      EXPECT_FALSE(One.Ok);
+      EXPECT_FALSE(Four.Ok);
+      for (size_t TI = 0; TI != Tools.size(); ++TI) {
+        EXPECT_EQ(One.PerTool[TI], -1.0);
+        EXPECT_EQ(Four.PerTool[TI], -1.0);
+      }
+      continue;
+    }
+    EXPECT_TRUE(One.Ok);
+    EXPECT_TRUE(Four.Ok);
+    for (size_t TI = 0; TI != Tools.size(); ++TI) {
+      uint64_t A, B;
+      std::memcpy(&A, &One.PerTool[TI], 8);
+      std::memcpy(&B, &Four.PerTool[TI], 8);
+      EXPECT_EQ(A, B) << Tools[TI] << " cell " << I;
+    }
+  }
+
+  // No tools: the plane is its image tasks alone.
+  EvalScheduler Images({/*Threads=*/4, /*Seed=*/0xc906});
+  auto Cells = Images.precisionMatrix(Suite, Modes, {});
+  for (size_t I = 0; I != Cells.size(); ++I) {
+    EXPECT_EQ(Cells[I].Ok, I / Modes.size() != 1) << "cell " << I;
+    EXPECT_TRUE(Cells[I].PerTool.empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//
