@@ -15,10 +15,12 @@
 using namespace khaos;
 
 const TokenVec &khaos::tokenVector(uint64_t Token) {
-  // The token universe is tiny (opcodes, bigrams, immediates), so each
-  // thread fills its own memo: diffing tools run concurrently on the
-  // EvalScheduler pool and never contend on it. Map nodes never move, so
-  // the returned reference survives later insertions.
+  // Each thread fills its own memo, so the diffing tools running on the
+  // EvalScheduler pool never contend on it. A memo lives as long as its
+  // thread: one runPool call for a pool worker, the whole process for the
+  // main thread. It is not small: immediates (0x1000000 + V) grow it with
+  // the programs diffed. Map nodes never move, so the returned reference
+  // survives later insertions.
   thread_local std::unordered_map<uint64_t, TokenVec> Memo;
   auto [It, Inserted] = Memo.try_emplace(Token);
   TokenVec &V = It->second;

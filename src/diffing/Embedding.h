@@ -33,7 +33,8 @@ using TokenVec = std::array<double, EmbeddingDim>;
 /// thread (a thread_local map, no lock): each thread computes a token's
 /// vector once, bit-identical on every thread, since it is a pure
 /// function of Token. The reference stays valid until the calling thread
-/// exits: later calls never move a stored vector.
+/// exits: later calls never move a stored vector. The memo is never
+/// trimmed; it grows with every distinct token, immediates included.
 const TokenVec &tokenVector(uint64_t Token);
 
 /// Adds Scale * tokenVector(Token) into \p Acc.

@@ -348,25 +348,36 @@ EvalScheduler::diffPlane(const std::vector<Workload> &Workloads,
                          Flat});
       }
 
-  // One ticket: first one image task (no tool) per cell, in cell order,
-  // so workers spread over different cells' builds instead of queueing
-  // in one cell's single-flight; it alone writes its cell's Ok and pass
-  // telemetry. The (cell × tool) tasks follow, cell-major.
-  const size_t NumCells = Cells.size();
+  // (cell × tool) tasks. A cell's lead task (its first tool, or only its
+  // images when no tool is asked) builds the pair its other tools share
+  // through the store, and alone writes the cell's Ok and pass telemetry.
+  // Each lead is queued Workers cells ahead of its cell's other tools:
+  // workers build different cells side by side instead of queueing in one
+  // cell's single-flight, yet only about Workers cells are in flight, so a
+  // bounded store keeps their pairs.
+  const size_t NumTools = ToolNames.empty() ? 1 : ToolNames.size();
+  const size_t Ahead = Workers;
+  std::vector<std::pair<size_t, size_t>> Ticket; // (cell, tool) indices
+  for (size_t K = 0; K != Cells.size() + Ahead; ++K) {
+    if (K < Cells.size())
+      Ticket.push_back({K, 0});
+    for (size_t TI = 1; K >= Ahead && TI != NumTools; ++TI)
+      Ticket.push_back({K - Ahead, TI});
+  }
   ArtifactStore::Snapshot Before = Pipe->store().stats();
-  runPool(NumCells * (1 + ToolNames.size()), [&](size_t I) {
-    if (I < NumCells) {
-      const Cell &C = Cells[I];
-      DiffTaskResult R = diffTask(*C.W, *C.BC, C.Mode, C.Seed, "");
-      Out[C.FlatIdx].Ok = R.ImagesOk;
+  runPool(Ticket.size(), [&](size_t I) {
+    const Cell &C = Cells[Ticket[I].first];
+    const size_t TI = Ticket[I].second;
+    DiffTaskResult R =
+        diffTask(*C.W, *C.BC, C.Mode, C.Seed,
+                 TI < ToolNames.size() ? ToolNames[TI] : std::string());
+    PlaneCell &Slot = Out[C.FlatIdx];
+    if (TI == 0) {
+      Slot.Ok = R.ImagesOk;
       if (RunStats)
         RunStats->mergePasses(R.Passes);
-      return;
     }
-    const Cell &C = Cells[(I - NumCells) / ToolNames.size()];
-    const size_t TI = (I - NumCells) % ToolNames.size();
-    DiffTaskResult R = diffTask(*C.W, *C.BC, C.Mode, C.Seed, ToolNames[TI]);
-    if (!R.ImagesOk)
+    if (!R.ImagesOk || TI >= ToolNames.size())
       return;
     if (!R.ToolOk) {
       // Loud per-task failure (timeout, crashed worker): the task
@@ -379,7 +390,7 @@ EvalScheduler::diffPlane(const std::vector<Workload> &Workloads,
         RunStats->countToolFailure();
       return;
     }
-    Out[C.FlatIdx].PerTool[TI] = std::move(R);
+    Slot.PerTool[TI] = std::move(R);
   });
 
   // Deterministic post-pass: count owned cells in row-major order.

@@ -285,11 +285,13 @@ private:
 
   /// The one (workload × config × mode × tool) plane behind every diffing
   /// front-end. Cells are row-major over (workload, config, mode) —
-  /// Flat = (WI * NumConfigs + CI) * NumModes + MI. All tasks share one
-  /// pool ticket: first one image task (empty tool) per cell, in cell
-  /// order, which builds the cell's pair and alone records its Ok and
-  /// pass telemetry; then the (cell × tool) tasks, cell-major, which
-  /// reuse that pair from the store. Validates \p ToolNames
+  /// Flat = (WI * NumConfigs + CI) * NumModes + MI. One (cell × tool)
+  /// task per pair; a cell's lead task (its first tool, or its images
+  /// alone when \p ToolNames is empty) builds the image pair the other
+  /// tools reuse from the store and alone records the cell's Ok and pass
+  /// telemetry. The pool ticket queues each lead Workers cells ahead of
+  /// its cell's other tools, so about Workers cells build side by side
+  /// and a bounded store still holds their pairs. Validates \p ToolNames
   /// against the registry (abort on unknown). A task whose tool failed
   /// at runtime (worker timeout or crash past retry) is reported loudly
   /// on stderr and counted into RunStats.ToolFailures — one hung backend

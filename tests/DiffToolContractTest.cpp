@@ -300,8 +300,8 @@ TEST(TokenVector, BitsArePinned) {
 }
 
 TEST(TokenVector, ConcurrentAccumulationMatchesSerial) {
-  // A stream mixing every vocabulary, long enough that each thread's
-  // memo rehashes while references into it are in use.
+  // A stream mixing every vocabulary; its 4096 distinct tokens make each
+  // thread's memo grow and rehash many times.
   std::vector<uint64_t> Stream;
   for (uint64_t I = 0; I != 1024; ++I) {
     Stream.push_back(I % 64);
@@ -309,21 +309,33 @@ TEST(TokenVector, ConcurrentAccumulationMatchesSerial) {
     Stream.push_back(bigramToken(I % 32, (I / 32) % 32));
     Stream.push_back(0x1000000ull + I);
   }
+  auto Scale = [](size_t I) { return 1.0 + (double)(I % 7) / 8.0; };
+  // Accumulates the stream twice: through accumulateToken, and, as
+  // JTransTool::embed does, through a pointer per token taken while the
+  // memo still grows and read only after the whole stream is in.
   auto Accumulate = [&] {
     std::vector<double> Acc;
-    for (size_t I = 0; I != Stream.size(); ++I)
-      accumulateToken(Acc, Stream[I], 1.0 + (double)(I % 7) / 8.0);
-    return bitDigest(Acc);
+    std::vector<const TokenVec *> Held;
+    for (size_t I = 0; I != Stream.size(); ++I) {
+      accumulateToken(Acc, Stream[I], Scale(I));
+      Held.push_back(&tokenVector(Stream[I]));
+    }
+    std::vector<double> FromHeld(EmbeddingDim, 0.0);
+    for (size_t I = 0; I != Held.size(); ++I)
+      for (unsigned K = 0; K != EmbeddingDim; ++K)
+        FromHeld[K] += Scale(I) * (*Held[I])[K];
+    return std::make_pair(bitDigest(Acc), bitDigest(FromHeld));
   };
-  const uint64_t Serial = Accumulate();
-  uint64_t Threaded[4] = {};
+  const std::pair<uint64_t, uint64_t> Serial = Accumulate();
+  EXPECT_EQ(Serial.first, Serial.second);
+  std::pair<uint64_t, uint64_t> Threaded[4] = {};
   std::vector<std::thread> Threads;
-  for (uint64_t &Slot : Threaded)
+  for (std::pair<uint64_t, uint64_t> &Slot : Threaded)
     Threads.emplace_back([&Slot, &Accumulate] { Slot = Accumulate(); });
   for (std::thread &T : Threads)
     T.join();
-  for (uint64_t Digest : Threaded)
-    EXPECT_EQ(Digest, Serial);
+  for (const std::pair<uint64_t, uint64_t> &Digests : Threaded)
+    EXPECT_EQ(Digests, Serial);
 }
 
 } // namespace

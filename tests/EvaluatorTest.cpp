@@ -174,9 +174,9 @@ TEST(EvalScheduler, FailingWorkloadFailsOnlyItsDiffCells) {
       ObfuscationMode::Sub, ObfuscationMode::Fission, ObfuscationMode::FuFiAll};
   const std::vector<std::string> Tools = {"BinDiff", "jtrans"};
 
-  // The plane's image tasks alone decide Ok; the tool tasks of a broken
-  // cell find no pair and leave their slots at -1 without counting as
-  // tool failures.
+  // A cell's lead task alone decides Ok; every tool task of a broken
+  // cell finds no pair and leaves its slot at -1 without counting as a
+  // tool failure.
   std::vector<std::vector<EvalScheduler::CellPrecision>> Runs;
   for (unsigned Threads : {1u, 4u}) {
     EvalScheduler Sched({Threads, /*Seed=*/0xc906});
@@ -210,7 +210,7 @@ TEST(EvalScheduler, FailingWorkloadFailsOnlyItsDiffCells) {
     }
   }
 
-  // No tools: the plane is its image tasks alone.
+  // No tools: each cell's lead task builds its images alone.
   EvalScheduler Images({/*Threads=*/4, /*Seed=*/0xc906});
   auto Cells = Images.precisionMatrix(Suite, Modes, {});
   for (size_t I = 0; I != Cells.size(); ++I) {
