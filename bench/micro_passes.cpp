@@ -6,13 +6,15 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the compiler substrate: frontend
-/// throughput, the O2 pipeline, the Khaos primitives and binary lowering.
+/// throughput, the O2 pipeline, the verifier, the Khaos primitives and
+/// binary lowering.
 /// Not a paper figure — kept for performance regression tracking.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/IRGen.h"
 #include "harness/Evaluator.h"
+#include "ir/Verifier.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -54,6 +56,21 @@ void BM_OptimizeO2(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_OptimizeO2);
+
+// Arg 0 verifies the frontend module, arg 1 the same module after O2.
+void BM_VerifyModule(benchmark::State &State) {
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(benchSource(), Ctx, "bench", Err);
+  if (State.range(0) == 1)
+    optimizeModule(*M, OptLevel::O2);
+  State.SetLabel(State.range(0) == 1 ? "O2" : "frontend");
+  for (auto _ : State) {
+    std::vector<std::string> Problems = verifyModule(*M);
+    benchmark::DoNotOptimize(Problems);
+  }
+}
+BENCHMARK(BM_VerifyModule)->Arg(0)->Arg(1);
 
 void BM_Fission(benchmark::State &State) {
   for (auto _ : State) {

@@ -37,16 +37,28 @@ DominatorTree::DominatorTree(const Function &F) : F(F) {
   for (unsigned I = 0, E = RPO.size(); I != E; ++I)
     RPONumber[RPO[I]] = I;
 
-  // Cooper-Harvey-Kennedy iteration.
-  BasicBlock *Entry = F.getEntryBlock();
-  IDom[Entry] = Entry;
+  // Predecessors among reachable blocks, by RPO number, built once (each
+  // predecessor listed once; RPO[0] is the entry).
+  const unsigned N = RPO.size();
+  std::vector<std::vector<unsigned>> Preds(N);
+  for (unsigned I = 0; I != N; ++I)
+    if (const Instruction *T = RPO[I]->getTerminator())
+      for (BasicBlock *S : T->successors()) {
+        std::vector<unsigned> &P = Preds[RPONumber[S]];
+        if (P.empty() || P.back() != I)
+          P.push_back(I);
+      }
 
-  auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
+  // Cooper-Harvey-Kennedy iteration over RPO numbers.
+  constexpr unsigned Undef = ~0u;
+  std::vector<unsigned> Doms(N, Undef);
+  Doms[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
-      while (RPONumber[A] > RPONumber[B])
-        A = IDom[A];
-      while (RPONumber[B] > RPONumber[A])
-        B = IDom[B];
+      while (A > B)
+        A = Doms[A];
+      while (B > A)
+        B = Doms[B];
     }
     return A;
   };
@@ -54,29 +66,28 @@ DominatorTree::DominatorTree(const Function &F) : F(F) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (BasicBlock *BB : RPO) {
-      if (BB == Entry)
-        continue;
-      BasicBlock *NewIDom = nullptr;
-      for (BasicBlock *P : BB->predecessors()) {
-        if (!RPONumber.count(P) || !IDom.count(P))
-          continue; // Unreachable or unprocessed predecessor.
-        NewIDom = NewIDom ? Intersect(NewIDom, P) : P;
+    for (unsigned I = 1; I != N; ++I) {
+      unsigned NewIDom = Undef;
+      for (unsigned P : Preds[I]) {
+        if (Doms[P] == Undef)
+          continue; // Unprocessed predecessor.
+        NewIDom = NewIDom == Undef ? P : Intersect(NewIDom, P);
       }
-      assert(NewIDom && "reachable block without processed predecessor");
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+      assert(NewIDom != Undef &&
+             "reachable block without processed predecessor");
+      if (Doms[I] != NewIDom) {
+        Doms[I] = NewIDom;
         Changed = true;
       }
     }
   }
 
   // Entry's IDom is conventionally null; build children lists.
-  IDom[Entry] = nullptr;
-  for (BasicBlock *BB : RPO)
-    if (BasicBlock *D = IDom[BB])
-      Children[D].push_back(BB);
+  IDom[RPO[0]] = nullptr;
+  for (unsigned I = 1; I != N; ++I) {
+    IDom[RPO[I]] = RPO[Doms[I]];
+    Children[RPO[Doms[I]]].push_back(RPO[I]);
+  }
 }
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {

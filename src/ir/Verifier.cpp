@@ -9,12 +9,46 @@
 #include "ir/Module.h"
 #include "support/StringUtils.h"
 
-#include <map>
-#include <set>
+#include <cstdint>
 
 using namespace khaos;
 
 namespace {
+
+constexpr unsigned None = ~0u;
+
+/// Pointer -> dense number, as an open-addressing table sized once: no
+/// allocation per entry and a probe or two per lookup.
+template <typename T> class PtrIndex {
+public:
+  void reset(size_t Count) {
+    unsigned Bits = 1;
+    while ((size_t(1) << Bits) < 2 * Count)
+      ++Bits;
+    Shift = 64 - Bits;
+    Slots.assign(size_t(1) << Bits, {nullptr, None});
+  }
+  void insert(const T *Key, unsigned Val) {
+    size_t S = home(Key);
+    while (Slots[S].first)
+      S = (S + 1) & (Slots.size() - 1);
+    Slots[S] = {Key, Val};
+  }
+  /// None when \p Key was not inserted.
+  unsigned lookup(const T *Key) const {
+    for (size_t S = home(Key);; S = (S + 1) & (Slots.size() - 1))
+      if (Slots[S].first == Key || !Slots[S].first)
+        return Slots[S].second;
+  }
+
+private:
+  size_t home(const T *Key) const {
+    return (reinterpret_cast<uintptr_t>(Key) * 0x9E3779B97F4A7C15ull) >>
+           Shift;
+  }
+  std::vector<std::pair<const T *, unsigned>> Slots;
+  unsigned Shift = 63;
+};
 
 /// Per-function verification state.
 class FunctionVerifier {
@@ -33,13 +67,18 @@ private:
   void checkInstruction(const BasicBlock *BB, const Instruction *I);
   void computeDominators();
   void checkDominance();
-  bool dominates(const BasicBlock *A, const BasicBlock *B) const;
+  bool dominates(const BasicBlock *A, unsigned B) const;
 
   const Function &F;
   std::vector<std::string> &Errors;
-  std::set<const BasicBlock *> BlockSet;
-  // Dominator sets (small functions; set-based iterative algorithm).
-  std::map<const BasicBlock *, std::set<const BasicBlock *>> Dom;
+  /// Block -> position in F.blocks().
+  PtrIndex<BasicBlock> BlockIndex;
+  /// Instruction -> position in its block's list.
+  PtrIndex<Instruction> InstPos;
+  /// Per block: its number in reverse postorder from the virtual root
+  /// (None when no root reaches it), and its dominator-tree subtree as the
+  /// interval [Pre, Pre + Size).
+  std::vector<unsigned> RPONum, Pre, Size;
 };
 
 } // namespace
@@ -75,7 +114,7 @@ void FunctionVerifier::checkInstruction(const BasicBlock *BB,
                                         const Instruction *I) {
   // Successors must be blocks of this function.
   for (const BasicBlock *S : I->successors())
-    if (!BlockSet.count(S))
+    if (BlockIndex.lookup(S) == None)
       error(formatStr("successor of a terminator in '%s' is foreign",
                       BB->getName().c_str()));
 
@@ -145,51 +184,143 @@ void FunctionVerifier::checkInstruction(const BasicBlock *BB,
 }
 
 void FunctionVerifier::computeDominators() {
-  // Iterative set-based dominance; functions are small enough.
-  std::set<const BasicBlock *> All;
+  // Runs only on structurally sound functions: every block ends in its one
+  // terminator and every successor is a block of F.
+  const unsigned N = F.blocks().size();
+  size_t NumInsts = 0;
   for (const auto &BB : F.blocks())
-    All.insert(BB.get());
-  const BasicBlock *Entry = F.getEntryBlock();
+    NumInsts += BB->size();
+  InstPos.reset(NumInsts);
   for (const auto &BB : F.blocks())
-    Dom[BB.get()] = BB.get() == Entry
-                        ? std::set<const BasicBlock *>{Entry}
-                        : All;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const auto &BB : F.blocks()) {
-      if (BB.get() == Entry)
+    for (size_t I = 0, E = BB->size(); I != E; ++I)
+      InstPos.insert(BB->getInst(I), I);
+
+  // CFG edges in CSR form, duplicate edges dropped. Predecessor counts go
+  // in at offset 2 so that after the prefix sum PredBegin[B + 1] is B's
+  // start, and filling advances it to B + 1's start.
+  std::vector<unsigned> SuccBegin(N + 1), Succs, Mark(N, None);
+  std::vector<unsigned> PredBegin(N + 2, 0);
+  for (unsigned B = 0; B != N; ++B) {
+    SuccBegin[B] = Succs.size();
+    for (const BasicBlock *S : F.blocks()[B]->getTerminator()->successors()) {
+      unsigned SI = BlockIndex.lookup(S);
+      if (Mark[SI] == B)
         continue;
-      std::set<const BasicBlock *> NewDom = All;
-      std::vector<BasicBlock *> Preds = BB->predecessors();
-      if (Preds.empty()) {
-        NewDom = {BB.get()}; // Unreachable block dominates only itself.
-      } else {
-        for (const BasicBlock *P : Preds) {
-          std::set<const BasicBlock *> Inter;
-          for (const BasicBlock *D : Dom[P])
-            if (NewDom.count(D))
-              Inter.insert(D);
-          NewDom = std::move(Inter);
-        }
-        NewDom.insert(BB.get());
+      Mark[SI] = B;
+      Succs.push_back(SI);
+      ++PredBegin[SI + 2];
+    }
+  }
+  SuccBegin[N] = Succs.size();
+  for (unsigned B = 0; B != N; ++B)
+    PredBegin[B + 2] += PredBegin[B + 1];
+  std::vector<unsigned> Preds(Succs.size());
+  for (unsigned B = 0; B != N; ++B)
+    for (unsigned E = SuccBegin[B]; E != SuccBegin[B + 1]; ++E)
+      Preds[PredBegin[Succs[E] + 1]++] = B;
+  // PredBegin[B]..PredBegin[B + 1] now delimit B's predecessors.
+
+  // Iterative DFS from a virtual root whose successors are the
+  // predecessor-less blocks (the entry and any dead block without
+  // predecessors), in block order.
+  std::vector<unsigned> Post;
+  std::vector<std::pair<unsigned, unsigned>> Stack;
+  RPONum.assign(N, None);
+  for (unsigned Root = 0; Root != N; ++Root) {
+    if (PredBegin[Root] != PredBegin[Root + 1] || RPONum[Root] != None)
+      continue;
+    RPONum[Root] = 0; // Visited; renumbered below.
+    Stack.emplace_back(Root, SuccBegin[Root]);
+    while (!Stack.empty()) {
+      auto &[B, E] = Stack.back();
+      if (E == SuccBegin[B + 1]) {
+        Post.push_back(B);
+        Stack.pop_back();
+        continue;
       }
-      if (NewDom != Dom[BB.get()]) {
-        Dom[BB.get()] = std::move(NewDom);
+      unsigned S = Succs[E++];
+      if (RPONum[S] == None) {
+        RPONum[S] = 0;
+        Stack.emplace_back(S, SuccBegin[S]);
+      }
+    }
+  }
+  // Reverse-postorder numbers; 0 is the virtual root.
+  const unsigned K = Post.size() + 1;
+  std::vector<unsigned> Order(K, None);
+  for (unsigned I = 0; I != Post.size(); ++I) {
+    unsigned B = Post[Post.size() - 1 - I];
+    RPONum[B] = I + 1;
+    Order[I + 1] = B;
+  }
+
+  // Cooper-Harvey-Kennedy over RPO numbers. Predecessors no root reaches
+  // are skipped: their dominator sets are "all blocks" and never narrow a
+  // meet.
+  std::vector<unsigned> IDom(K, None);
+  IDom[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
+    while (A != B) {
+      while (A > B)
+        A = IDom[A];
+      while (B > A)
+        B = IDom[B];
+    }
+    return A;
+  };
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (unsigned R = 1; R != K; ++R) {
+      unsigned B = Order[R];
+      unsigned New = PredBegin[B] == PredBegin[B + 1] ? 0 : None;
+      for (unsigned E = PredBegin[B]; E != PredBegin[B + 1]; ++E) {
+        unsigned P = RPONum[Preds[E]];
+        if (P == None || IDom[P] == None)
+          continue;
+        New = New == None ? P : Intersect(New, P);
+      }
+      if (IDom[R] != New) {
+        IDom[R] = New;
         Changed = true;
       }
     }
   }
+
+  // Subtree intervals: an immediate dominator precedes its children in
+  // RPO, so one backward pass sums subtree sizes and one forward pass lays
+  // each child's interval after its parent and earlier siblings.
+  std::vector<unsigned> TreeSize(K, 1), TreePre(K, 0), Used(K, 0);
+  for (unsigned R = K - 1; R != 0; --R)
+    TreeSize[IDom[R]] += TreeSize[R];
+  for (unsigned R = 1; R != K; ++R) {
+    unsigned P = IDom[R];
+    TreePre[R] = TreePre[P] + 1 + Used[P];
+    Used[P] += TreeSize[R];
+  }
+  Pre.assign(N, 0);
+  Size.assign(N, 0);
+  for (unsigned R = 1; R != K; ++R) {
+    Pre[Order[R]] = TreePre[R];
+    Size[Order[R]] = TreeSize[R];
+  }
 }
 
-bool FunctionVerifier::dominates(const BasicBlock *A,
-                                 const BasicBlock *B) const {
-  auto It = Dom.find(B);
-  return It != Dom.end() && It->second.count(A);
+bool FunctionVerifier::dominates(const BasicBlock *A, unsigned B) const {
+  // The maximal fixpoint of Dom(b) = {b} + meet of Dom(p): a block no root
+  // reaches keeps "all blocks of F"; a reachable one holds exactly its
+  // dominators under the virtual root. An unreachable A has an empty
+  // interval.
+  unsigned AI = BlockIndex.lookup(A);
+  if (AI == None)
+    return false;
+  if (RPONum[B] == None)
+    return true;
+  return Pre[AI] <= Pre[B] && Pre[B] < Pre[AI] + Size[AI];
 }
 
 void FunctionVerifier::checkDominance() {
-  for (const auto &BB : F.blocks()) {
+  for (unsigned B = 0, NB = F.blocks().size(); B != NB; ++B) {
+    const BasicBlock *BB = F.blocks()[B].get();
     for (size_t Idx = 0, E = BB->size(); Idx != E; ++Idx) {
       const Instruction *I = BB->getInst(Idx);
       for (const Value *Op : I->operands()) {
@@ -197,11 +328,14 @@ void FunctionVerifier::checkDominance() {
         if (!Def)
           continue;
         const BasicBlock *DefBB = Def->getParent();
-        if (DefBB == BB.get()) {
-          if (BB->indexOf(Def) >= Idx)
+        if (DefBB == BB) {
+          // A def that claims this block but is not in its list counts as
+          // used before it is defined.
+          unsigned Pos = InstPos.lookup(Def);
+          if (Pos == None || Pos >= Idx)
             error(formatStr("use before def inside block '%s'",
                             BB->getName().c_str()));
-        } else if (!dominates(DefBB, BB.get())) {
+        } else if (!dominates(DefBB, B)) {
           error(formatStr("use in '%s' not dominated by def in '%s'",
                           BB->getName().c_str(),
                           DefBB ? DefBB->getName().c_str() : "<detached>"));
@@ -213,8 +347,9 @@ void FunctionVerifier::checkDominance() {
 
 bool FunctionVerifier::run() {
   size_t Before = Errors.size();
-  for (const auto &BB : F.blocks())
-    BlockSet.insert(BB.get());
+  BlockIndex.reset(F.blocks().size());
+  for (unsigned B = 0, E = F.blocks().size(); B != E; ++B)
+    BlockIndex.insert(F.blocks()[B].get(), B);
   checkStructure();
   if (Errors.size() == Before && !F.blocks().empty()) {
     computeDominators();

@@ -6,19 +6,29 @@
 ///
 /// \file
 /// White-box tests for the KIR core: type interning, use-lists, RAUW,
-/// block surgery, cloning, the verifier's negative cases and VM edge
-/// behaviour that the higher-level suites rely on implicitly.
+/// block surgery, cloning, the verifier's negative cases, its dominance
+/// semantics (pinned against a set-based reference) and VM edge behaviour
+/// that the higher-level suites rely on implicitly.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "frontend/IRGen.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "obfuscation/KhaosDriver.h"
+#include "support/RNG.h"
+#include "support/StringUtils.h"
 #include "transform/Cloning.h"
+#include "transform/Pass.h"
 #include "vm/Interpreter.h"
+#include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace khaos;
 
@@ -219,7 +229,9 @@ TEST(Verifier, CatchesCrossBlockDominanceViolation) {
   X.B.createBr(J);
   X.B.setInsertPoint(J);
   X.B.createRet(OnlyOnT); // Not dominated: E-path never defines it.
-  EXPECT_FALSE(verifyModule(X.M).empty());
+  EXPECT_EQ(verifyModule(X.M),
+            std::vector<std::string>{
+                "in @f: use in 'j' not dominated by def in 't'"});
 }
 
 TEST(Verifier, CatchesReturnTypeMismatch) {
@@ -245,6 +257,258 @@ TEST(Verifier, AcceptsWellFormedDiamond) {
   X.B.setInsertPoint(J);
   X.B.createRet(X.B.createLoad(Slot));
   EXPECT_TRUE(verifyModule(X.M).empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Verifier dominance semantics: the cases where a dominator algorithm over
+// the entry alone, or one that ignores dead blocks, would disagree with the
+// maximal fixpoint of Dom(b) = {b} + meet of Dom(p) over predecessors.
+//===----------------------------------------------------------------------===//
+
+using Errs = std::vector<std::string>;
+
+TEST(Verifier, DeadPredecessorlessBlockRestrictsReachableJoin) {
+  IRFixture X;
+  BasicBlock *Dead = X.F->addBlock("dead");
+  BasicBlock *J = X.F->addBlock("j");
+  auto *V = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  X.B.createBr(J);
+  X.B.setInsertPoint(Dead); // No predecessors: a root of its own.
+  X.B.createBr(J);
+  X.B.setInsertPoint(J);
+  X.B.createRet(V);
+  EXPECT_EQ(verifyModule(X.M),
+            Errs{"in @f: use in 'j' not dominated by def in 'entry'"});
+}
+
+TEST(Verifier, AcceptsUsesInsideUnreachableCycle) {
+  IRFixture X;
+  BasicBlock *A = X.F->addBlock("a");
+  BasicBlock *Bb = X.F->addBlock("b");
+  auto *V = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  X.B.createRet(V);
+  // a <-> b: both have predecessors, but no root reaches either, so each
+  // is dominated by every block.
+  X.B.setInsertPoint(A);
+  auto *InA = X.B.createAdd(V, X.M.getInt32(2));
+  X.B.createBr(Bb);
+  X.B.setInsertPoint(Bb);
+  auto *InB = X.B.createAdd(InA, X.M.getInt32(3));
+  X.B.createBr(A);
+  InA->setOperand(1, InB); // a uses b's def, b uses a's.
+  EXPECT_EQ(verifyModule(X.M), Errs{});
+}
+
+TEST(Verifier, AcceptsConditionalBranchWithOneTargetTwice) {
+  IRFixture X;
+  BasicBlock *T = X.F->addBlock("x");
+  auto *V = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  Value *C = X.B.createCmp(CmpPred::SGT, V, X.M.getInt32(0));
+  X.B.createCondBr(C, T, T);
+  X.B.setInsertPoint(T);
+  X.B.createRet(V);
+  EXPECT_EQ(T->predecessors().size(), 1u);
+  EXPECT_EQ(verifyModule(X.M), Errs{});
+}
+
+TEST(Verifier, RejectsSelfLoopUsingItsOwnLaterDef) {
+  IRFixture X;
+  BasicBlock *L = X.F->addBlock("l");
+  BasicBlock *Exit = X.F->addBlock("exit");
+  X.B.createBr(L);
+  X.B.setInsertPoint(L);
+  auto *U = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  auto *V = X.B.createAdd(X.F->getArg(0), X.M.getInt32(2));
+  U->setOperand(0, V); // l dominates itself, but V comes after U.
+  Value *C = X.B.createCmp(CmpPred::SGT, V, X.M.getInt32(0));
+  X.B.createCondBr(C, L, Exit);
+  X.B.setInsertPoint(Exit);
+  X.B.createRet(U);
+  EXPECT_EQ(verifyModule(X.M),
+            Errs{"in @f: use before def inside block 'l'"});
+}
+
+//===----------------------------------------------------------------------===//
+// Differential oracle: verifyModule against the set-based dominance
+// fixpoint, on generated modules and on seeded corruptions of them.
+//===----------------------------------------------------------------------===//
+
+using DomSets = std::map<const BasicBlock *, std::set<const BasicBlock *>>;
+
+/// Dom(entry) = {entry}; Dom(b) = {b} for any other predecessor-less b;
+/// otherwise Dom(b) = {b} + the intersection of Dom(p) over predecessors,
+/// iterated from "all blocks" down to the maximal fixpoint. Quadratic, and
+/// obviously the definition.
+DomSets referenceDominators(const Function &F) {
+  std::set<const BasicBlock *> All;
+  for (const auto &BB : F.blocks())
+    All.insert(BB.get());
+  const BasicBlock *Entry = F.getEntryBlock();
+  DomSets Dom;
+  for (const auto &BB : F.blocks())
+    Dom[BB.get()] = BB.get() == Entry ? std::set<const BasicBlock *>{Entry}
+                                      : All;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const auto &BB : F.blocks()) {
+      if (BB.get() == Entry)
+        continue;
+      std::set<const BasicBlock *> NewDom = All;
+      std::vector<BasicBlock *> Preds = BB->predecessors();
+      if (Preds.empty()) {
+        NewDom = {BB.get()};
+      } else {
+        for (const BasicBlock *P : Preds) {
+          std::set<const BasicBlock *> Inter;
+          for (const BasicBlock *D : Dom[P])
+            if (NewDom.count(D))
+              Inter.insert(D);
+          NewDom = std::move(Inter);
+        }
+        NewDom.insert(BB.get());
+      }
+      if (NewDom != Dom[BB.get()]) {
+        Dom[BB.get()] = std::move(NewDom);
+        Changed = true;
+      }
+    }
+  }
+  return Dom;
+}
+
+/// The dominance errors the verifier must report for a structurally sound
+/// module, in its order and wording.
+Errs referenceDominanceErrors(const Module &M) {
+  Errs Out;
+  for (const auto &F : M.functions()) {
+    if (F->isDeclaration())
+      continue;
+    DomSets Dom = referenceDominators(*F);
+    auto Err = [&](const std::string &Msg) {
+      Out.push_back("in @" + F->getName() + ": " + Msg);
+    };
+    for (const auto &BB : F->blocks())
+      for (size_t Idx = 0, E = BB->size(); Idx != E; ++Idx)
+        for (const Value *Op : BB->getInst(Idx)->operands()) {
+          const auto *Def = dyn_cast<Instruction>(Op);
+          if (!Def)
+            continue;
+          const BasicBlock *DefBB = Def->getParent();
+          if (DefBB == BB.get()) {
+            if (BB->indexOf(Def) >= Idx)
+              Err(formatStr("use before def inside block '%s'",
+                            BB->getName().c_str()));
+          } else if (!Dom[BB.get()].count(DefBB)) {
+            Err(formatStr("use in '%s' not dominated by def in '%s'",
+                          BB->getName().c_str(), DefBB->getName().c_str()));
+          }
+        }
+  }
+  return Out;
+}
+
+bool movable(const Instruction *I) {
+  return !I->isTerminator() && !isa<LandingPadInst>(I);
+}
+
+/// One structure-preserving corruption of a random function of \p M:
+/// move an instruction into another block (before its terminator), move
+/// an instruction after a same-block user, or retarget a branch edge to a
+/// non-entry block (which makes dead roots, unreachable cycles and
+/// duplicate edges). Returns false when the draw found nothing to change.
+bool corrupt(Module &M, RNG &R) {
+  std::vector<Function *> Defs;
+  for (const auto &F : M.functions())
+    if (!F->isDeclaration())
+      Defs.push_back(F.get());
+  Function &F = *Defs[R.nextBelow(Defs.size())];
+  const auto &Blocks = F.blocks();
+  BasicBlock *BB = Blocks[R.nextBelow(Blocks.size())].get();
+  switch (R.nextBelow(3)) {
+  case 0: { // Into a sibling block.
+    BasicBlock *To = Blocks[R.nextBelow(Blocks.size())].get();
+    Instruction *I = BB->getInst(R.nextBelow(BB->size()));
+    if (To == BB || !movable(I))
+      return false;
+    To->insertBefore(To->getTerminator(), BB->take(I).release());
+    return true;
+  }
+  case 1: { // After a same-block user.
+    Instruction *I = BB->getInst(R.nextBelow(BB->size()));
+    if (!movable(I))
+      return false;
+    for (Instruction *U : I->users()) {
+      if (U->getParent() != BB || U->isTerminator())
+        continue;
+      std::unique_ptr<Instruction> Owned = BB->take(I);
+      BB->insertAt(BB->indexOf(U) + 1, Owned.release());
+      return true;
+    }
+    return false;
+  }
+  default: { // Retarget an edge.
+    Instruction *T = BB->getTerminator();
+    BasicBlock *To = Blocks[R.nextBelow(Blocks.size())].get();
+    if (isa<InvokeInst>(T) || T->getNumSuccessors() == 0 ||
+        To == F.getEntryBlock())
+      return false;
+    T->setSuccessor(R.nextBelow(T->getNumSuccessors()), To);
+    return true;
+  }
+  }
+}
+
+TEST(Verifier, MatchesSetBasedReferenceOnGeneratedAndCorruptedModules) {
+  std::vector<ObfuscationMode> Modes;
+  for (unsigned B = 0; B != 256; ++B)
+    if (isKnownObfuscationMode(ObfuscationMode(B)))
+      Modes.push_back(ObfuscationMode(B));
+  ASSERT_EQ(Modes.size(), 14u);
+
+  size_t Compared = 0, Rejected = 0;
+  auto Check = [&](const Module &M, const std::string &What) {
+    Errs Got = verifyModule(M);
+    ASSERT_EQ(Got, referenceDominanceErrors(M)) << What;
+    ++Compared;
+    Rejected += !Got.empty();
+  };
+
+  for (uint64_t Seed : {3, 17}) {
+    ProgramSpec S;
+    S.Name = "oracle";
+    S.NumFunctions = 5;
+    S.Seed = Seed;
+    S.UseExceptions = Seed == 17;
+    const std::string Src = generateMiniCProgram(S);
+    // -2: frontend, -1: O2, then every obfuscation mode.
+    for (int Stage = -2; Stage != int(Modes.size()); ++Stage) {
+      Context Ctx;
+      std::string Err;
+      std::unique_ptr<Module> M = compileMiniC(Src, Ctx, "oracle", Err);
+      ASSERT_TRUE(M) << Err;
+      std::string What = "seed " + std::to_string(Seed) + " ";
+      if (Stage == -1)
+        optimizeModule(*M, OptLevel::O2);
+      if (Stage >= 0)
+        obfuscateModule(*M, Modes[Stage]);
+      What += Stage == -2   ? "frontend"
+              : Stage == -1 ? "O2"
+                            : obfuscationModeName(Modes[Stage]);
+      Check(*M, What);
+      // Each trial corrupts a fresh copy one to three times.
+      RNG R(Seed * 1000 + Stage + 2);
+      for (unsigned Trial = 0; Trial != 16; ++Trial) {
+        std::unique_ptr<Module> C = cloneModule(*M);
+        bool Changed = false;
+        for (uint64_t K = 0, N = 1 + R.nextBelow(3); K != N; ++K)
+          Changed |= corrupt(*C, R);
+        if (Changed)
+          Check(*C, What + ", trial " + std::to_string(Trial));
+      }
+    }
+  }
+  // The corruptions must actually exercise the rejecting paths.
+  EXPECT_GT(Rejected, Compared / 4);
 }
 
 //===----------------------------------------------------------------------===//
