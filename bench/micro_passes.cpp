@@ -6,8 +6,8 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the compiler substrate: frontend
-/// throughput, the O2 pipeline, the verifier, the Khaos primitives and
-/// binary lowering.
+/// throughput, module cloning and teardown, the O2 pipeline, the verifier,
+/// the Khaos primitives and binary lowering.
 /// Not a paper figure — kept for performance regression tracking.
 ///
 //===----------------------------------------------------------------------===//
@@ -15,6 +15,7 @@
 #include "frontend/IRGen.h"
 #include "harness/Evaluator.h"
 #include "ir/Verifier.h"
+#include "transform/Cloning.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -23,26 +24,59 @@ using namespace khaos;
 
 namespace {
 
-const std::string &benchSource() {
-  static const std::string Src = [] {
-    ProgramSpec S;
-    S.Name = "microbench";
-    S.NumFunctions = 40;
-    S.Seed = 99;
-    return generateMiniCProgram(S);
-  }();
-  return Src;
+std::string generateBenchSource(unsigned NumFunctions) {
+  ProgramSpec S;
+  S.Name = "microbench";
+  S.NumFunctions = NumFunctions;
+  S.Seed = 99;
+  return generateMiniCProgram(S);
 }
 
+/// The seed-99 program at 40 (default) or 90 functions.
+const std::string &benchSource(int64_t NumFunctions = 40) {
+  static const std::string Src40 = generateBenchSource(40);
+  static const std::string Src90 = generateBenchSource(90);
+  return NumFunctions == 90 ? Src90 : Src40;
+}
+
+// The arg of the three benchmarks below is the program's function count;
+// clone and destroy work on the module compileMiniC builds from it.
 void BM_CompileMiniC(benchmark::State &State) {
   for (auto _ : State) {
     Context Ctx;
     std::string Err;
-    auto M = compileMiniC(benchSource(), Ctx, "bench", Err);
+    auto M = compileMiniC(benchSource(State.range(0)), Ctx, "bench", Err);
     benchmark::DoNotOptimize(M);
   }
 }
-BENCHMARK(BM_CompileMiniC);
+BENCHMARK(BM_CompileMiniC)->Arg(40)->Arg(90)->Unit(benchmark::kMillisecond);
+
+void BM_CloneModule(benchmark::State &State) {
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(benchSource(State.range(0)), Ctx, "bench", Err);
+  for (auto _ : State) {
+    std::unique_ptr<Module> Clone = cloneModule(*M);
+    benchmark::DoNotOptimize(Clone);
+    State.PauseTiming();
+    Clone.reset();
+    State.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CloneModule)->Arg(40)->Arg(90)->Unit(benchmark::kMillisecond);
+
+void BM_DestroyModule(benchmark::State &State) {
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(benchSource(State.range(0)), Ctx, "bench", Err);
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::unique_ptr<Module> Clone = cloneModule(*M);
+    State.ResumeTiming();
+    Clone.reset();
+  }
+}
+BENCHMARK(BM_DestroyModule)->Arg(40)->Arg(90)->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeO2(benchmark::State &State) {
   for (auto _ : State) {

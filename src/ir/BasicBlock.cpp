@@ -13,13 +13,6 @@
 
 using namespace khaos;
 
-BasicBlock::~BasicBlock() {
-  // Break operand webs inside the block before destruction so that
-  // destruction order between instructions does not matter.
-  for (auto &I : Insts)
-    I->dropAllReferences();
-}
-
 Instruction *BasicBlock::getTerminator() const {
   if (Insts.empty())
     return nullptr;

@@ -30,7 +30,6 @@ public:
   explicit BasicBlock(std::string Name) : Name(std::move(Name)) {}
   BasicBlock(const BasicBlock &) = delete;
   BasicBlock &operator=(const BasicBlock &) = delete;
-  ~BasicBlock();
 
   const std::string &getName() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }
@@ -51,6 +50,8 @@ public:
 
   /// Appends \p I, taking ownership. Returns \p I.
   Instruction *push(Instruction *I);
+  /// Makes room for \p N instructions, so that many pushes never reallocate.
+  void reserve(size_t N) { Insts.reserve(N); }
 
   /// Inserts \p I before position \p Pos (an owned instruction of this
   /// block), taking ownership. Returns \p I.

@@ -24,14 +24,6 @@ Function::Function(PointerType *PtrToFnTy, std::string Name, Module *Parent)
   Origins.push_back(getName());
 }
 
-Function::~Function() {
-  // Sever all intra-function operand references before blocks die so
-  // cross-block def-use edges cannot dangle during destruction.
-  for (auto &BB : Blocks)
-    for (auto &I : BB->insts())
-      I->dropAllReferences();
-}
-
 BasicBlock *Function::addBlock(const std::string &Name) {
   auto *BB = new BasicBlock(Name);
   BB->setParent(this);

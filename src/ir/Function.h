@@ -100,8 +100,6 @@ public:
     return V->getValueKind() == ValueKind::Function;
   }
 
-  ~Function() override;
-
 private:
   friend class Module;
   Function(PointerType *PtrToFnTy, std::string Name, Module *Parent);

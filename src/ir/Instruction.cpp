@@ -13,32 +13,40 @@
 
 using namespace khaos;
 
-Instruction::~Instruction() { dropAllReferences(); }
+Instruction::Instruction(Opcode Op, Type *Ty, unsigned NumOperands,
+                         std::string Name)
+    : Value(ValueKind::Instruction, Ty, std::move(Name)), Op(Op),
+      NumOps(NumOperands),
+      Ops(NumOperands <= 2 ? InlineOps : new Use[NumOperands]) {
+  for (unsigned I = 0; I != NumOps; ++I)
+    Ops[I].User = this;
+}
+
+Instruction::Instruction(const Instruction &Src)
+    : Instruction(Src.Op, Src.getType(), Src.NumOps, Src.getName()) {
+  Successors = Src.Successors;
+}
+
+Instruction::~Instruction() {
+  for (unsigned I = 0; I != NumOps; ++I)
+    if (Value *V = Ops[I].Val)
+      V->removeUse(Ops[I]);
+  if (Ops != InlineOps)
+    delete[] Ops;
+}
 
 Function *Instruction::getFunction() const {
   return Parent ? Parent->getParent() : nullptr;
 }
 
 void Instruction::setOperand(unsigned I, Value *V) {
-  assert(I < Operands.size() && "operand index out of range");
+  assert(I < NumOps && "operand index out of range");
   assert(V && "operand must be non-null");
-  if (Operands[I])
-    Operands[I]->removeUser(this);
-  Operands[I] = V;
-  V->addUser(this);
-}
-
-void Instruction::addOperand(Value *V) {
-  assert(V && "operand must be non-null");
-  Operands.push_back(V);
-  V->addUser(this);
-}
-
-void Instruction::dropAllReferences() {
-  for (Value *Op : Operands)
-    if (Op)
-      Op->removeUser(this);
-  Operands.clear();
+  Use &U = Ops[I];
+  if (U.Val)
+    U.Val->removeUse(U);
+  U.Val = V;
+  V->addUse(U);
 }
 
 void Instruction::replaceSuccessor(BasicBlock *From, BasicBlock *To) {
@@ -68,72 +76,40 @@ void Instruction::eraseFromParent() {
   Parent->erase(this);
 }
 
-static std::vector<Value *> cloneArgs(const Instruction *I, unsigned Skip) {
-  std::vector<Value *> Args;
-  for (unsigned Idx = Skip, E = I->getNumOperands(); Idx != E; ++Idx)
-    Args.push_back(I->getOperand(Idx));
-  return Args;
-}
-
 Instruction *Instruction::clone() const {
   switch (Op) {
   case Opcode::Alloca:
-    return new AllocaInst(
-        static_cast<const AllocaInst *>(this)->getAllocatedType(),
-        getName());
+    return new AllocaInst(*static_cast<const AllocaInst *>(this));
   case Opcode::Load:
-    return new LoadInst(getOperand(0), getName());
+    return new LoadInst(*static_cast<const LoadInst *>(this));
   case Opcode::Store:
-    return new StoreInst(getOperand(0), getOperand(1));
+    return new StoreInst(*static_cast<const StoreInst *>(this));
   case Opcode::BinOp:
-    return new BinaryInst(static_cast<const BinaryInst *>(this)->getBinOp(),
-                          getOperand(0), getOperand(1), getName());
+    return new BinaryInst(*static_cast<const BinaryInst *>(this));
   case Opcode::Cmp:
-    return new CmpInst(static_cast<const CmpInst *>(this)->getPredicate(),
-                       getOperand(0), getOperand(1), getName());
+    return new CmpInst(*static_cast<const CmpInst *>(this));
   case Opcode::Cast:
-    return new CastInst(static_cast<const CastInst *>(this)->getCastKind(),
-                        getOperand(0), getType(), getName());
+    return new CastInst(*static_cast<const CastInst *>(this));
   case Opcode::GEP:
-    return new GEPInst(getOperand(0), getOperand(1), getName());
+    return new GEPInst(*static_cast<const GEPInst *>(this));
   case Opcode::Select:
-    return new SelectInst(getOperand(0), getOperand(1), getOperand(2),
-                          getName());
+    return new SelectInst(*static_cast<const SelectInst *>(this));
   case Opcode::Call:
-    return new CallInst(getOperand(0), cloneArgs(this, 1), getName());
-  case Opcode::Invoke: {
-    const auto *IV = static_cast<const InvokeInst *>(this);
-    return new InvokeInst(getOperand(0), cloneArgs(this, 1),
-                          IV->getNormalDest(), IV->getUnwindDest(),
-                          getName());
-  }
+    return new CallInst(*static_cast<const CallInst *>(this));
+  case Opcode::Invoke:
+    return new InvokeInst(*static_cast<const InvokeInst *>(this));
   case Opcode::LandingPad:
-    return new LandingPadInst(getType(), getName());
+    return new LandingPadInst(*static_cast<const LandingPadInst *>(this));
   case Opcode::Throw:
-    return new ThrowInst(getOperand(0));
-  case Opcode::Br: {
-    const auto *BR = static_cast<const BranchInst *>(this);
-    if (BR->isConditional())
-      return new BranchInst(BR->getCondition(), BR->getTrueDest(),
-                            BR->getFalseDest());
-    return new BranchInst(BR->getSuccessor(0));
-  }
-  case Opcode::Switch: {
-    const auto *SW = static_cast<const SwitchInst *>(this);
-    auto *NewSW = new SwitchInst(SW->getCondition(), SW->getDefaultDest());
-    for (unsigned I = 0, E = SW->getNumCases(); I != E; ++I)
-      NewSW->addCase(SW->getCaseValue(I), SW->getCaseDest(I));
-    return NewSW;
-  }
-  case Opcode::Ret: {
-    // A ReturnInst's own type is the void type, so reuse it.
-    const auto *RI = static_cast<const ReturnInst *>(this);
-    return new ReturnInst(RI->hasReturnValue() ? RI->getReturnValue()
-                                               : nullptr,
-                          getType());
-  }
+    return new ThrowInst(*static_cast<const ThrowInst *>(this));
+  case Opcode::Br:
+    return new BranchInst(*static_cast<const BranchInst *>(this));
+  case Opcode::Switch:
+    return new SwitchInst(*static_cast<const SwitchInst *>(this));
+  case Opcode::Ret:
+    return new ReturnInst(*static_cast<const ReturnInst *>(this));
   case Opcode::Unreachable:
-    return new UnreachableInst(getType());
+    return new UnreachableInst(*static_cast<const UnreachableInst *>(this));
   }
   assert(false && "unknown opcode in clone()");
   return nullptr;
@@ -154,21 +130,21 @@ bool AllocaInst::classof(const Value *V) {
 
 LoadInst::LoadInst(Value *Ptr, std::string Name)
     : Instruction(Opcode::Load,
-                  cast<PointerType>(Ptr->getType())->getPointee(),
+                  cast<PointerType>(Ptr->getType())->getPointee(), 1,
                   std::move(Name)) {
   assert(getType()->isFirstClass() && "load of non-first-class type");
-  addOperand(Ptr);
+  setOperand(0, Ptr);
 }
 
 bool LoadInst::classof(const Value *V) { return hasOpcode(V, Opcode::Load); }
 
 StoreInst::StoreInst(Value *Val, Value *Ptr)
     : Instruction(Opcode::Store,
-                  Val->getType()->getContext().getVoidType()) {
+                  Val->getType()->getContext().getVoidType(), 2) {
   assert(cast<PointerType>(Ptr->getType())->getPointee() == Val->getType() &&
          "store type mismatch");
-  addOperand(Val);
-  addOperand(Ptr);
+  setOperand(0, Val);
+  setOperand(1, Ptr);
 }
 
 bool StoreInst::classof(const Value *V) {
@@ -176,10 +152,11 @@ bool StoreInst::classof(const Value *V) {
 }
 
 BinaryInst::BinaryInst(BinOp Kind, Value *L, Value *R, std::string Name)
-    : Instruction(Opcode::BinOp, L->getType(), std::move(Name)), Kind(Kind) {
+    : Instruction(Opcode::BinOp, L->getType(), 2, std::move(Name)),
+      Kind(Kind) {
   assert(L->getType() == R->getType() && "binop operand type mismatch");
-  addOperand(L);
-  addOperand(R);
+  setOperand(0, L);
+  setOperand(1, R);
 }
 
 const char *BinaryInst::getOpName(BinOp K) {
@@ -223,12 +200,12 @@ bool BinaryInst::classof(const Value *V) {
 }
 
 CmpInst::CmpInst(CmpPred Pred, Value *L, Value *R, std::string Name)
-    : Instruction(Opcode::Cmp, L->getType()->getContext().getInt1Type(),
+    : Instruction(Opcode::Cmp, L->getType()->getContext().getInt1Type(), 2,
                   std::move(Name)),
       Pred(Pred) {
   assert(L->getType() == R->getType() && "cmp operand type mismatch");
-  addOperand(L);
-  addOperand(R);
+  setOperand(0, L);
+  setOperand(1, R);
 }
 
 const char *CmpInst::getPredName(CmpPred P) {
@@ -252,8 +229,8 @@ const char *CmpInst::getPredName(CmpPred P) {
 bool CmpInst::classof(const Value *V) { return hasOpcode(V, Opcode::Cmp); }
 
 CastInst::CastInst(CastKind Kind, Value *V, Type *DestTy, std::string Name)
-    : Instruction(Opcode::Cast, DestTy, std::move(Name)), Kind(Kind) {
-  addOperand(V);
+    : Instruction(Opcode::Cast, DestTy, 1, std::move(Name)), Kind(Kind) {
+  setOperand(0, V);
 }
 
 const char *CastInst::getCastName(CastKind K) {
@@ -292,10 +269,10 @@ static Type *gepResultType(Value *Ptr) {
 }
 
 GEPInst::GEPInst(Value *Ptr, Value *Index, std::string Name)
-    : Instruction(Opcode::GEP, gepResultType(Ptr), std::move(Name)) {
+    : Instruction(Opcode::GEP, gepResultType(Ptr), 2, std::move(Name)) {
   assert(Index->getType()->isInteger() && "GEP index must be an integer");
-  addOperand(Ptr);
-  addOperand(Index);
+  setOperand(0, Ptr);
+  setOperand(1, Index);
 }
 
 uint64_t GEPInst::getElementSize() const {
@@ -306,12 +283,12 @@ bool GEPInst::classof(const Value *V) { return hasOpcode(V, Opcode::GEP); }
 
 SelectInst::SelectInst(Value *Cond, Value *TrueV, Value *FalseV,
                        std::string Name)
-    : Instruction(Opcode::Select, TrueV->getType(), std::move(Name)) {
+    : Instruction(Opcode::Select, TrueV->getType(), 3, std::move(Name)) {
   assert(TrueV->getType() == FalseV->getType() &&
          "select arm type mismatch");
-  addOperand(Cond);
-  addOperand(TrueV);
-  addOperand(FalseV);
+  setOperand(0, Cond);
+  setOperand(1, TrueV);
+  setOperand(2, FalseV);
 }
 
 bool SelectInst::classof(const Value *V) {
@@ -333,10 +310,11 @@ CallInst::CallInst(Value *Callee, std::vector<Value *> Args,
 
 CallInst::CallInst(Opcode Op, Value *Callee, std::vector<Value *> Args,
                    std::string Name)
-    : Instruction(Op, resultTypeForCallee(Callee), std::move(Name)) {
-  addOperand(Callee);
-  for (Value *A : Args)
-    addOperand(A);
+    : Instruction(Op, resultTypeForCallee(Callee), 1 + Args.size(),
+                  std::move(Name)) {
+  setOperand(0, Callee);
+  for (unsigned I = 0, E = Args.size(); I != E; ++I)
+    setOperand(I + 1, Args[I]);
 }
 
 Function *CallInst::getCalledFunction() const {
@@ -365,7 +343,7 @@ bool InvokeInst::classof(const Value *V) {
 }
 
 LandingPadInst::LandingPadInst(Type *I64Ty, std::string Name)
-    : Instruction(Opcode::LandingPad, I64Ty, std::move(Name)) {
+    : Instruction(Opcode::LandingPad, I64Ty, 0, std::move(Name)) {
   assert(I64Ty->getKind() == TypeKind::Int64 && "landingpad must be i64");
 }
 
@@ -375,8 +353,8 @@ bool LandingPadInst::classof(const Value *V) {
 
 ThrowInst::ThrowInst(Value *Payload)
     : Instruction(Opcode::Throw,
-                  Payload->getType()->getContext().getVoidType()) {
-  addOperand(Payload);
+                  Payload->getType()->getContext().getVoidType(), 1) {
+  setOperand(0, Payload);
 }
 
 bool ThrowInst::classof(const Value *V) {
@@ -385,17 +363,19 @@ bool ThrowInst::classof(const Value *V) {
 
 // Note: an unconditional branch has no handle on a Context, so its Value
 // type is null. Nothing queries a terminator's type.
-BranchInst::BranchInst(BasicBlock *Dest) : Instruction(Opcode::Br, nullptr) {
+BranchInst::BranchInst(BasicBlock *Dest)
+    : Instruction(Opcode::Br, nullptr, 0) {
   assert(Dest && "branch to null block");
   addSuccessor(Dest);
 }
 
 BranchInst::BranchInst(Value *Cond, BasicBlock *TrueDest,
                        BasicBlock *FalseDest)
-    : Instruction(Opcode::Br, Cond->getType()->getContext().getVoidType()) {
+    : Instruction(Opcode::Br, Cond->getType()->getContext().getVoidType(),
+                  1) {
   assert(Cond->getType()->getKind() == TypeKind::Int1 &&
          "branch condition must be i1");
-  addOperand(Cond);
+  setOperand(0, Cond);
   addSuccessor(TrueDest);
   addSuccessor(FalseDest);
 }
@@ -404,10 +384,10 @@ bool BranchInst::classof(const Value *V) { return hasOpcode(V, Opcode::Br); }
 
 SwitchInst::SwitchInst(Value *Cond, BasicBlock *DefaultDest)
     : Instruction(Opcode::Switch,
-                  Cond->getType()->getContext().getVoidType()) {
+                  Cond->getType()->getContext().getVoidType(), 1) {
   assert(Cond->getType()->isInteger() &&
          "switch condition must be an integer");
-  addOperand(Cond);
+  setOperand(0, Cond);
   addSuccessor(DefaultDest);
 }
 
@@ -421,15 +401,15 @@ bool SwitchInst::classof(const Value *V) {
 }
 
 ReturnInst::ReturnInst(Value *RetVal, Type *VoidTy)
-    : Instruction(Opcode::Ret, VoidTy) {
+    : Instruction(Opcode::Ret, VoidTy, RetVal ? 1 : 0) {
   if (RetVal)
-    addOperand(RetVal);
+    setOperand(0, RetVal);
 }
 
 bool ReturnInst::classof(const Value *V) { return hasOpcode(V, Opcode::Ret); }
 
 UnreachableInst::UnreachableInst(Type *VoidTy)
-    : Instruction(Opcode::Unreachable, VoidTy) {}
+    : Instruction(Opcode::Unreachable, VoidTy, 0) {}
 
 bool UnreachableInst::classof(const Value *V) {
   return hasOpcode(V, Opcode::Unreachable);

@@ -101,16 +101,20 @@ public:
   void setParent(BasicBlock *BB) { Parent = BB; }
   Function *getFunction() const;
 
-  unsigned getNumOperands() const { return Operands.size(); }
+  unsigned getNumOperands() const { return NumOps; }
   Value *getOperand(unsigned I) const {
-    assert(I < Operands.size() && "operand index out of range");
-    return Operands[I];
+    assert(I < NumOps && "operand index out of range");
+    return Ops[I].Val;
   }
+  const Use &getOperandUse(unsigned I) const {
+    assert(I < NumOps && "operand index out of range");
+    return Ops[I];
+  }
+  /// Points slot \p I at \p V: the slot leaves its old value's use list
+  /// and goes to the back of \p V's. O(1).
   void setOperand(unsigned I, Value *V);
-  const std::vector<Value *> &operands() const { return Operands; }
-
-  /// Drops all operand references (removing this from their user lists).
-  void dropAllReferences();
+  /// The operand slots; each converts to the Value it references.
+  IteratorRange<const Use *> operands() const { return {Ops, Ops + NumOps}; }
 
   bool isTerminator() const { return Op >= Opcode::Br; }
 
@@ -135,8 +139,10 @@ public:
   /// instruction must have no remaining users.
   void eraseFromParent();
 
-  /// Structural deep copy. Operands and successors still point at the
-  /// original values/blocks; callers remap as needed.
+  /// A copy of this instruction (opcode, type, name, kind fields and
+  /// successors, which still name the original blocks) whose operand slots
+  /// are all empty. The caller fills every slot with setOperand; nothing
+  /// about this instruction is touched.
   Instruction *clone() const;
 
   static bool classof(const Value *V) {
@@ -144,16 +150,25 @@ public:
   }
 
 protected:
-  Instruction(Opcode Op, Type *Ty, std::string Name = "")
-      : Value(ValueKind::Instruction, Ty, std::move(Name)), Op(Op) {}
+  /// An instruction with \p NumOperands empty slots, which the subclass
+  /// constructor fills with setOperand. The count never changes afterwards,
+  /// so the slots never move.
+  Instruction(Opcode Op, Type *Ty, unsigned NumOperands,
+              std::string Name = "");
+  /// The clone() shell of \p Src. Each subclass's implicit copy
+  /// constructor builds on it.
+  Instruction(const Instruction &Src);
 
-  void addOperand(Value *V);
   void addSuccessor(BasicBlock *BB) { Successors.push_back(BB); }
 
 private:
   Opcode Op;
+  const unsigned NumOps;
   BasicBlock *Parent = nullptr;
-  std::vector<Value *> Operands;
+  /// The operand slots: InlineOps when there are at most two (most
+  /// instructions), else one heap array.
+  Use *Ops;
+  Use InlineOps[2];
   std::vector<BasicBlock *> Successors;
 };
 
@@ -161,7 +176,7 @@ private:
 class AllocaInst : public Instruction {
 public:
   AllocaInst(Type *AllocatedType, std::string Name = "")
-      : Instruction(Opcode::Alloca, AllocatedType->getPointerTo(),
+      : Instruction(Opcode::Alloca, AllocatedType->getPointerTo(), 0,
                     std::move(Name)),
         AllocatedType(AllocatedType) {}
 

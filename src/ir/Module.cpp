@@ -10,16 +10,6 @@
 
 using namespace khaos;
 
-Module::~Module() {
-  // Sever every operand reference while all values (including interned
-  // constants, which are declared after Functions and therefore destroyed
-  // first) are still alive; afterwards destruction order is irrelevant.
-  for (auto &F : Functions)
-    for (auto &BB : F->blocks())
-      for (auto &I : BB->insts())
-        I->dropAllReferences();
-}
-
 Function *Module::createFunction(const std::string &Name, FunctionType *FTy) {
   assert(!getFunction(Name) && "duplicate function name");
   auto *F = new Function(Ctx.getPointerType(FTy), Name, this);

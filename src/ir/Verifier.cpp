@@ -7,48 +7,14 @@
 #include "ir/Verifier.h"
 
 #include "ir/Module.h"
+#include "support/PtrIndex.h"
 #include "support/StringUtils.h"
-
-#include <cstdint>
 
 using namespace khaos;
 
 namespace {
 
 constexpr unsigned None = ~0u;
-
-/// Pointer -> dense number, as an open-addressing table sized once: no
-/// allocation per entry and a probe or two per lookup.
-template <typename T> class PtrIndex {
-public:
-  void reset(size_t Count) {
-    unsigned Bits = 1;
-    while ((size_t(1) << Bits) < 2 * Count)
-      ++Bits;
-    Shift = 64 - Bits;
-    Slots.assign(size_t(1) << Bits, {nullptr, None});
-  }
-  void insert(const T *Key, unsigned Val) {
-    size_t S = home(Key);
-    while (Slots[S].first)
-      S = (S + 1) & (Slots.size() - 1);
-    Slots[S] = {Key, Val};
-  }
-  /// None when \p Key was not inserted.
-  unsigned lookup(const T *Key) const {
-    for (size_t S = home(Key);; S = (S + 1) & (Slots.size() - 1))
-      if (Slots[S].first == Key || !Slots[S].first)
-        return Slots[S].second;
-  }
-
-private:
-  size_t home(const T *Key) const {
-    return (reinterpret_cast<uintptr_t>(Key) * 0x9E3779B97F4A7C15ull) >>
-           Shift;
-  }
-  std::vector<std::pair<const T *, unsigned>> Slots;
-  unsigned Shift = 63;
-};
 
 /// Per-function verification state.
 class FunctionVerifier {

@@ -138,7 +138,7 @@ Function *khaos::extractRegion(Module &M, Function &F, const Region &R,
     Value *V = Inputs[I];
     Argument *A = Sep->getArg(I);
     A->setName(V->getName().empty() ? formatStr("in%zu", I) : V->getName());
-    std::vector<Instruction *> Users(V->users());
+    std::vector<Instruction *> Users(V->users().begin(), V->users().end());
     for (Instruction *U : Users) {
       if (!InRegion.count(U->getParent()))
         continue;

@@ -287,7 +287,8 @@ void PairFuser::rewriteSideReturns(unsigned SideIdx) {
 void PairFuser::rewriteDirectCalls(SideMap &Side) {
   Function *Ori = Side.Ori;
   Type *OriRet = Ori->getReturnType();
-  std::vector<Instruction *> Users(Ori->users());
+  std::vector<Instruction *> Users(Ori->users().begin(),
+                                   Ori->users().end());
   for (Instruction *U : Users) {
     auto *CI = dyn_cast<CallInst>(U);
     if (!CI || CI->getCallee() != Ori)

@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Block cloning with value remapping, shared by the inliner and the bogus
-/// control flow obfuscation.
+/// Function-body and whole-module cloning, shared by the inliner and the
+/// evaluation pipeline's module cache. Both read their source only.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_TRANSFORM_CLONING_H
 #define KHAOS_TRANSFORM_CLONING_H
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -24,34 +23,30 @@ class Function;
 class Module;
 class Value;
 
-/// Clones every block of \p Src into \p Dst. \p VMap must already map
-/// Src's arguments to replacement values; it is extended with every cloned
-/// instruction and block mapping. Cloned blocks are appended to \p Dst and
-/// returned in source order. Operands and successors are remapped through
-/// VMap (identity when absent).
-std::vector<BasicBlock *>
-cloneFunctionBlocks(const Function &Src, Function &Dst,
-                    std::map<const Value *, Value *> &VMap);
+/// Clones every block of \p Src into \p Dst, block names suffixed ".i".
+/// \p Args holds the replacement for each of Src's arguments, by position;
+/// Src's instructions map to their copies and every other operand
+/// (constants, globals, functions) is kept. Cloned blocks are appended to
+/// \p Dst and returned in source order.
+std::vector<BasicBlock *> cloneFunctionBlocks(const Function &Src,
+                                              Function &Dst,
+                                              const std::vector<Value *> &Args);
 
 /// Deep-copies \p Src into a fresh Module that shares Src's Context (types
 /// are interned per Context, so sharing it makes the copy remap-free for
 /// types; Context interning is mutex-guarded, so clones may be transformed
 /// concurrently). Function/global/block order, all symbol and value names,
-/// per-function flags, provenance and the uniqueName() counters are
-/// preserved exactly: a pass run on the clone produces byte-identical
-/// printed IR to the same pass run on \p Src. Constants are re-interned in
-/// the new module, so the clone's lifetime is independent of \p Src — only
-/// the Context must outlive it.
+/// per-function flags, provenance, the uniqueName() counters and the order
+/// of every use list are preserved exactly: a pass run on the clone
+/// produces byte-identical printed IR to the same pass run on \p Src.
+/// Constants are re-interned in the new module, so the clone's lifetime is
+/// independent of \p Src — only the Context must outlive it.
 ///
 /// This is what lets the evaluation pipeline cache the fission-stage module
 /// once per workload and hand each FuFi mode its own mutable copy.
 ///
-/// Concurrency: cloning temporarily registers the copy's instructions in
-/// \p Src's use lists (instruction constructors track users) and unlinks
-/// them again while remapping, so \p Src is bit-identical afterwards but
-/// NOT safe to clone or read-with-uses from two threads at once — callers
-/// sharing a module across threads must serialize clones (EvalPipeline
-/// locks its FissionArtifact::CloneMutex).
+/// \p Src is only read, so any number of threads may clone one module at
+/// once (while no thread mutates it). Cost is linear in the module size.
 std::unique_ptr<Module> cloneModule(const Module &Src);
 
 } // namespace khaos

@@ -68,7 +68,8 @@ bool DCEPass::runOnFunction(Function &F) {
         }
         if (!OnlyStores || !AI->hasUses())
           continue;
-        std::vector<Instruction *> Stores(AI->users());
+        std::vector<Instruction *> Stores(AI->users().begin(),
+                                         AI->users().end());
         for (Instruction *S : Stores)
           S->getParent()->erase(S);
         Changed = true;

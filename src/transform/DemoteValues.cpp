@@ -31,7 +31,7 @@ bool khaos::demoteInstruction(Module &M, Function &F, Instruction *I) {
   Entry->insertAt(0, Slot);
   SpillBlock->insertAt(SpillIdx, new StoreInst(I, Slot));
 
-  std::vector<Instruction *> Users(I->users());
+  std::vector<Instruction *> Users(I->users().begin(), I->users().end());
   for (Instruction *U : Users) {
     if (U->getParent() == Home && !isa<InvokeInst>(I))
       continue; // Local uses keep the register.

@@ -94,11 +94,11 @@ void InlinerPass::inlineCall(Module &M, Function &Caller, CallInst *Call) {
   }
 
   // Map formals to actuals and clone the body.
-  std::map<const Value *, Value *> VMap;
+  std::vector<Value *> Actuals;
   for (unsigned I = 0, E = Callee->arg_size(); I != E; ++I)
-    VMap[Callee->getArg(I)] = Call->getArg(I);
+    Actuals.push_back(Call->getArg(I));
   std::vector<BasicBlock *> Cloned =
-      cloneFunctionBlocks(*Callee, Caller, VMap);
+      cloneFunctionBlocks(*Callee, Caller, Actuals);
   BasicBlock *InlineEntry = Cloned.front();
 
   // Hoist cloned allocas into the caller's entry so stack space is reused

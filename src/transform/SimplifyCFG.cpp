@@ -62,10 +62,8 @@ bool removeUnreachable(Function &F) {
       Dead.push_back(BB.get());
   if (Dead.empty())
     return false;
-  // Sever webs first (dead blocks may reference each other and live code).
-  for (BasicBlock *BB : Dead)
-    for (const auto &I : BB->insts())
-      I->dropAllReferences();
+  // Dead blocks may reference each other; freeing a value clears the
+  // slots still using it, so they can go in any order.
   for (BasicBlock *BB : Dead)
     F.eraseBlock(BB);
   return true;

@@ -25,10 +25,13 @@
 #include "vm/Interpreter.h"
 #include "workloads/SyntheticProgram.h"
 
+#include "UseListCheck.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <thread>
 
 using namespace khaos;
 
@@ -110,17 +113,46 @@ TEST(IRValues, UseListsTrackOperands) {
   EXPECT_EQ(Add->getNumUses(), 2u); // Both operand slots count.
   X.B.createRet(Mul);
   EXPECT_EQ(Mul->getNumUses(), 1u);
+  EXPECT_TRUE(useListsIntact(X.M));
+}
+
+std::vector<Instruction *> usersOf(const Value *V) {
+  return {V->users().begin(), V->users().end()};
 }
 
 TEST(IRValues, RAUWRewritesAllSlots) {
   IRFixture X;
   Value *Arg = X.F->getArg(0);
-  auto *Add = X.B.createAdd(Arg, Arg);
   ConstantInt *C = X.M.getInt32(7);
+  auto *Before = X.B.createAdd(C, X.M.getInt32(1));
+  auto *Add = X.B.createAdd(Arg, Arg);
+  auto *Sub = X.B.createSub(Add, Arg);
   Arg->replaceAllUsesWith(C);
   EXPECT_EQ(Arg->getNumUses(), 0u);
   EXPECT_EQ(Add->getOperand(0), C);
   EXPECT_EQ(Add->getOperand(1), C);
+  // Rewritten slots join the back of C's list, user by user.
+  EXPECT_EQ(usersOf(C), (std::vector<Instruction *>{Before, Add, Add, Sub}));
+  EXPECT_TRUE(useListsIntact(X.M));
+}
+
+TEST(IRValues, SetOperandOnSecondDuplicateSlot) {
+  IRFixture X;
+  Value *Arg = X.F->getArg(0);
+  auto *First = X.B.createAdd(Arg, X.M.getInt32(1));
+  auto *Dup = X.B.createMul(Arg, Arg);
+  auto *Last = X.B.createSub(Arg, X.M.getInt32(2));
+  Dup->setOperand(1, X.M.getInt32(3));
+  EXPECT_EQ(Dup->getOperand(0), Arg);
+  EXPECT_EQ(Arg->getNumUses(), 3u);
+  EXPECT_EQ(usersOf(Arg), (std::vector<Instruction *>{First, Dup, Last}));
+  // The slot left is slot 0, so that is the record still on Arg's list.
+  EXPECT_EQ(&Dup->getOperandUse(0), Arg->firstUse()->getNext());
+  EXPECT_TRUE(useListsIntact(X.M));
+  // Pointing the slot back appends it at the tail.
+  Dup->setOperand(1, Arg);
+  EXPECT_EQ(usersOf(Arg), (std::vector<Instruction *>{First, Dup, Last, Dup}));
+  EXPECT_TRUE(useListsIntact(X.M));
 }
 
 TEST(IRValues, ConstantsAreInterned) {
@@ -138,6 +170,47 @@ TEST(IRValues, EraseRequiresNoUsers) {
   EXPECT_TRUE(Add->hasUses());
   Dead->eraseFromParent(); // Dead has no users: fine.
   EXPECT_FALSE(Add->hasUses());
+  EXPECT_TRUE(useListsIntact(X.M));
+}
+
+/// Freeing IR never requires dropping references first: a value freed
+/// before its users clears their slots, and a user freed before its
+/// operands unlinks itself.
+TEST(IRValues, TeardownInAnyOrder) {
+  IRFixture X;
+  BasicBlock *Next = X.F->addBlock("next");
+  auto *A = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  X.B.createBr(Next);
+  X.B.setInsertPoint(Next);
+  auto *Dup = X.B.createMul(A, A);
+  auto *Keep = X.B.createAdd(X.F->getArg(0), X.M.getInt32(1));
+  X.B.createRet(X.B.createAdd(Dup, Keep));
+
+  // Def before its users: the entry block dies while Dup still uses A.
+  X.F->takeBlock(X.F->getEntryBlock()).reset();
+  EXPECT_EQ(Dup->getOperand(0), nullptr);
+  EXPECT_EQ(Dup->getOperand(1), nullptr);
+  EXPECT_EQ(X.F->getArg(0)->getNumUses(), 1u);
+  EXPECT_EQ(X.M.getInt32(1)->getNumUses(), 1u);
+  EXPECT_TRUE(useListsIntact(X.M));
+
+  // User before its operands: Keep dies while it still uses arg0.
+  std::unique_ptr<Instruction> Owned = Next->take(Keep);
+  Owned.reset();
+  EXPECT_FALSE(X.F->getArg(0)->hasUses());
+  EXPECT_TRUE(useListsIntact(X.M));
+
+  // A whole function dies while another still calls it, then the module
+  // frees its constants before its functions.
+  FunctionType *GTy = X.Ctx.getFunctionType(X.Ctx.getInt32Type(), {});
+  Function *G = X.M.createFunction("g", GTy);
+  X.B.setInsertPoint(G->addBlock("entry"));
+  auto *Call = X.B.createCall(X.F, {X.M.getInt32(4)});
+  X.B.createRet(Call);
+  std::unique_ptr<BasicBlock> Body = X.F->takeBlock(Next);
+  Body.reset();
+  EXPECT_TRUE(useListsIntact(X.M));
+  EXPECT_EQ(X.F->getNumUses(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -182,14 +255,58 @@ TEST(IRBlocks, CloneFunctionBlocksRemaps) {
   FunctionType *GTy =
       X.Ctx.getFunctionType(X.Ctx.getInt32Type(), {X.Ctx.getInt32Type()});
   Function *G = X.M.createFunction("g", GTy);
-  std::map<const Value *, Value *> VMap;
-  VMap[X.F->getArg(0)] = G->getArg(0);
-  std::vector<BasicBlock *> Cloned = cloneFunctionBlocks(*X.F, *G, VMap);
+  std::vector<BasicBlock *> Cloned =
+      cloneFunctionBlocks(*X.F, *G, {G->getArg(0)});
   ASSERT_EQ(Cloned.size(), 1u);
+  EXPECT_EQ(Cloned[0]->getName(), "entry.i");
   // The cloned add must reference G's argument, not F's.
   const Instruction *ClonedAdd = Cloned[0]->getInst(0);
   EXPECT_EQ(ClonedAdd->getOperand(0), G->getArg(0));
+  EXPECT_EQ(ClonedAdd->getOperand(1), X.M.getInt32(5));
+  EXPECT_EQ(Cloned[0]->getInst(1)->getOperand(0), ClonedAdd);
   EXPECT_TRUE(verifyModule(X.M).empty());
+  EXPECT_TRUE(useListsIntact(X.M));
+}
+
+/// cloneModule only reads its source, so threads may clone one shared
+/// module at once with no lock (the evaluation pipeline does this for
+/// every FuFi cell of a workload). CI runs this suite under TSan.
+TEST(IRCloning, ConcurrentClonesOfOneModule) {
+  ProgramSpec S;
+  S.Name = "shared";
+  S.NumFunctions = 12;
+  S.Seed = 41;
+  S.UseExceptions = true;
+  Context Ctx;
+  std::string Err;
+  std::unique_ptr<Module> M =
+      compileMiniC(generateMiniCProgram(S), Ctx, S.Name, Err);
+  ASSERT_TRUE(M) << Err;
+  optimizeModule(*M, OptLevel::O2);
+  runFissionPhase(*M);
+  const Module &Shared = *M;
+  const std::string Expected = printModule(Shared);
+
+  constexpr unsigned Threads = 4, Rounds = 3;
+  std::vector<std::string> Printed(Threads * Rounds);
+  std::vector<char> Intact(Threads * Rounds, 0);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R != Rounds; ++R) {
+        std::unique_ptr<Module> C = cloneModule(Shared);
+        Printed[T * Rounds + R] = printModule(*C);
+        Intact[T * Rounds + R] = bool(useListsIntact(*C));
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned I = 0; I != Threads * Rounds; ++I) {
+    EXPECT_EQ(Printed[I], Expected) << "clone " << I;
+    EXPECT_TRUE(Intact[I]) << "clone " << I;
+  }
+  EXPECT_EQ(printModule(Shared), Expected);
+  EXPECT_TRUE(useListsIntact(Shared));
 }
 
 //===----------------------------------------------------------------------===//

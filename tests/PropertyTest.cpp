@@ -19,9 +19,12 @@
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 #include "obfuscation/KhaosDriver.h"
+#include "support/StringUtils.h"
 #include "transform/Cloning.h"
 #include "vm/Interpreter.h"
 #include "workloads/SyntheticProgram.h"
+
+#include "UseListCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -60,6 +63,7 @@ void checkSeedMode(uint64_t Seed, ObfuscationMode Mode) {
   ASSERT_TRUE(Base) << "seed " << Seed << ": " << Error;
   ASSERT_TRUE(verifyModule(*Base).empty()) << "seed " << Seed;
   optimizeModule(*Base, OptLevel::O2);
+  ASSERT_TRUE(useListsIntact(*Base)) << "seed " << Seed;
   ExecResult Ref = runModule(*Base);
   ASSERT_TRUE(Ref.Ok) << "seed " << Seed << ": " << Ref.Error;
 
@@ -73,6 +77,8 @@ void checkSeedMode(uint64_t Seed, ObfuscationMode Mode) {
   ASSERT_TRUE(Problems.empty())
       << "seed " << Seed << " mode " << obfuscationModeName(Mode) << ": "
       << Problems.front();
+  ASSERT_TRUE(useListsIntact(*Obf))
+      << "seed " << Seed << " mode " << obfuscationModeName(Mode);
   ExecResult Got = runModule(*Obf);
   ASSERT_TRUE(Got.Ok) << "seed " << Seed << " mode "
                       << obfuscationModeName(Mode) << ": " << Got.Error;
@@ -220,10 +226,10 @@ TEST(GeneratedProgramProperties, ProvenanceRefersToOriginalFunctions) {
 /// cloneModule is the pipeline's cache-sharing primitive (every FuFi cell
 /// clones the shared fission-stage artifact), so its contract gets a
 /// randomized regression net: over ~100 generated program shapes, the
-/// clone prints byte-identical IR to the source, cloning leaves the
-/// source bit-identical, and obfuscating the clone never perturbs the
-/// source. The PR-2 use-list/CloneMutex segfault only reproduced on
-/// specific shapes — a seed sweep is the durable way to keep it dead.
+/// clone prints byte-identical IR to the source, its use lists are
+/// intact, cloning leaves the source bit-identical, and obfuscating the
+/// clone never perturbs the source. Use-list bugs in cloning have only
+/// shown on specific shapes, so a seed sweep is the durable net.
 /// Labeled slow (SlowStress) so the default ctest wall-clock stays lean.
 TEST(GeneratedProgramProperties, CloneModuleRoundTripSweepSlowStress) {
   const ObfuscationMode MutateModes[] = {
@@ -246,6 +252,7 @@ TEST(GeneratedProgramProperties, CloneModuleRoundTripSweepSlowStress) {
         << "seed " << Seed << ": cloning perturbed the source module";
     ASSERT_EQ(printModule(*Clone), Before)
         << "seed " << Seed << ": clone is not byte-identical";
+    ASSERT_TRUE(useListsIntact(*Clone)) << "seed " << Seed;
 
     // Mutating the clone (the FuFi pattern) must leave the source alone.
     KhaosOptions Opts;
@@ -253,9 +260,106 @@ TEST(GeneratedProgramProperties, CloneModuleRoundTripSweepSlowStress) {
     obfuscateModule(*Clone, MutateModes[I % 4], Opts);
     ASSERT_TRUE(verifyModule(*Clone).empty())
         << "seed " << Seed << ": obfuscated clone fails the verifier";
+    ASSERT_TRUE(useListsIntact(*Clone)) << "seed " << Seed;
     ASSERT_EQ(printModule(*M), Before)
         << "seed " << Seed << ": mutating the clone perturbed the source";
   }
+}
+
+/// FNV-1a over a printed module: a stable digest to pin printed IR with.
+uint64_t digestOf(const std::string &Text) {
+  uint64_t Hash = 1469598103934665603ull;
+  for (unsigned char C : Text) {
+    Hash ^= C;
+    Hash *= 1099511628211ull;
+  }
+  return Hash;
+}
+
+/// True when some instruction of \p M references one non-constant value
+/// from two operand slots (`add %x, %x`, `call @f(%p, %p)`).
+bool hasDuplicateSlot(const Module &M) {
+  for (const auto &F : M.functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->insts())
+        for (unsigned A = 0, E = I->getNumOperands(); A != E; ++A)
+          for (unsigned B = A + 1; B != E; ++B)
+            if (I->getOperand(A) == I->getOperand(B) &&
+                !I->getOperand(A)->isConstant())
+              return true;
+  return false;
+}
+
+/// Printed-IR digests of the frontend, O2 and every obfuscation mode on
+/// three generated programs, pinned from the implementation whose use
+/// lists were per-value user vectors: a change to the IR core must leave
+/// every pass's output byte-identical. The seeds cover gotos (103),
+/// exceptions, setjmp and strings (105), and switch dispatch and indirect
+/// calls (110). All three carry instructions with one value in two operand
+/// slots, the shape where a per-slot use list and a first-match user
+/// vector could order users differently. On these seeds users() order
+/// does not reach the printed IR (reversing it changes no digest), so the
+/// order itself is pinned by the IRValues unit tests in IRCoreTest.
+TEST(GeneratedProgramProperties, PrintedIRDigestsArePinned) {
+  struct Pin {
+    uint64_t Seed;
+    std::vector<uint64_t> Digests; // frontend, O2, then one per mode.
+  };
+  const std::vector<Pin> Pins = {
+      {103,
+       {0xf681a77922213a52ull, 0x6891d39ab9e24c59ull, 0x6891d39ab9e24c59ull,
+        0xd0077b85be1264edull, 0x17e4eb5247385c55ull, 0xa63151612d04e65full,
+        0x8f7be812e6ee483bull, 0x9cc01b36d3752bddull, 0x6f4aa29ba038f685ull,
+        0x4b7a2b941aeabb54ull, 0xf16ea7b1710864acull, 0x58287029a3bfae40ull,
+        0x94f6763e215f9c17ull, 0x09e5288dae306eb6ull, 0x741cf2c39e301e9aull,
+        0xa647194a9f5dac71ull}},
+      {105,
+       {0x007d5304c939098dull, 0xd5c4ad28005b15b8ull, 0xd5c4ad28005b15b8ull,
+        0x9ddb750e480544efull, 0xf856e819863a21ecull, 0x12cc87057fa6e650ull,
+        0xeac8a27bcc5304a7ull, 0xf0a9d4c1cbc0f5d7ull, 0xb882c31a02bf160full,
+        0x4f16a2366efa3a79ull, 0x21dfa3aebabfff9dull, 0x0eaef1a75cea5053ull,
+        0x57526e9c0cde5100ull, 0x7b48915e5ee20e7dull, 0xc81e57513d126cbdull,
+        0x840747640c969cb8ull}},
+      {110,
+       {0x12c32308c786acd8ull, 0xbf11953d39b91e93ull, 0xbf11953d39b91e93ull,
+        0x5807e66764060909ull, 0x71d0f34b097edfd3ull, 0xad767c4b6ccdae21ull,
+        0xbf11953d39b91e93ull, 0x343c587528f8df12ull, 0xb665bd7147194b60ull,
+        0xb989922cd60ac844ull, 0x6a86d826f4f6128aull, 0x4691e50cb384a5a3ull,
+        0xdd3ce047e2db97ecull, 0xdb0781ab32a0b116ull, 0x751d8a78952b4324ull,
+        0x11b60471fa42f15aull}},
+  };
+  std::vector<ObfuscationMode> Modes;
+  for (unsigned B = 0; B != 256; ++B)
+    if (isKnownObfuscationMode(ObfuscationMode(B)))
+      Modes.push_back(ObfuscationMode(B));
+  ASSERT_EQ(Modes.size(), 14u);
+
+  bool SawDuplicateSlot = false;
+  for (const Pin &P : Pins) {
+    const std::string Source = generateMiniCProgram(specForSeed(P.Seed));
+    std::vector<uint64_t> Got;
+    // -2: frontend, -1: O2, then every obfuscation mode.
+    for (int Stage = -2; Stage != int(Modes.size()); ++Stage) {
+      Context Ctx;
+      std::string Error;
+      auto M = compileMiniC(Source, Ctx, "pin", Error);
+      ASSERT_TRUE(M) << "seed " << P.Seed << ": " << Error;
+      if (Stage == -1)
+        optimizeModule(*M, OptLevel::O2);
+      if (Stage >= 0) {
+        KhaosOptions Opts;
+        Opts.Seed = P.Seed * 31 + 3;
+        obfuscateModule(*M, Modes[Stage], Opts);
+      }
+      SawDuplicateSlot |= hasDuplicateSlot(*M);
+      Got.push_back(digestOf(printModule(*M)));
+    }
+    std::string Dump;
+    for (uint64_t D : Got)
+      Dump += formatStr("0x%016llxull, ", (unsigned long long)D);
+    EXPECT_EQ(Got, P.Digests) << "seed " << P.Seed << ": " << Dump;
+  }
+  EXPECT_TRUE(SawDuplicateSlot);
 }
 
 /// The region identifier's contract on arbitrary generated functions:
