@@ -6,8 +6,9 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the compiler substrate: frontend
-/// throughput, module cloning and teardown, the O2 pipeline, the verifier,
-/// the Khaos primitives and binary lowering.
+/// throughput, module cloning and teardown, the O2 pipeline (also as the
+/// post-obfuscation optimizer runs it), the verifier, the Khaos
+/// primitives, binary lowering, bytecode lowering and one short VM run.
 /// Not a paper figure — kept for performance regression tracking.
 ///
 //===----------------------------------------------------------------------===//
@@ -133,6 +134,73 @@ void BM_Fusion(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Fusion);
+
+// The O2 pass list the post-obfuscation optimizer runs, over the program's
+// MBA-obfuscated module stopped before its first post-opt step (MBA's
+// post-opt is the heaviest of the modes). Clone and teardown are untimed.
+void BM_PostOptMBA(benchmark::State &State) {
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(benchSource(), Ctx, "bench", Err);
+  KhaosOptions Opts;
+  std::vector<std::string> Steps =
+      obfuscationStepNames(ObfuscationMode::MBA, Opts);
+  size_t Prefix = 0;
+  while (Prefix != Steps.size() && Steps[Prefix].rfind("post-opt:", 0) != 0)
+    ++Prefix;
+  obfuscateModulePrefix(*M, ObfuscationMode::MBA, Opts, Prefix);
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::unique_ptr<Module> Clone = cloneModule(*M);
+    State.ResumeTiming();
+    optimizeModule(*Clone, OptLevel::O2);
+    State.PauseTiming();
+    Clone.reset();
+    State.ResumeTiming();
+  }
+}
+BENCHMARK(BM_PostOptMBA)->Unit(benchmark::kMillisecond);
+
+// Bytecode lowering of the program's O2 module; the arg is its function
+// count.
+void BM_PrecompileModule(benchmark::State &State) {
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(benchSource(State.range(0)), Ctx, "bench", Err);
+  optimizeModule(*M, OptLevel::O2);
+  for (auto _ : State) {
+    BytecodeModule BM;
+    precompileModule(*M, BM);
+    benchmark::DoNotOptimize(BM.CodeBytes);
+  }
+}
+BENCHMARK(BM_PrecompileModule)->Arg(40)->Arg(90);
+
+// One VM run of a short program, so the per-run fixed cost (memory image,
+// global layout, decoding) shows next to a few hundred steps. Arg 0 runs
+// the reference engine, arg 1 the precompiled one.
+void BM_RunModule(benchmark::State &State) {
+  const char *Source = "int g[16];\n"
+                       "int main() {\n"
+                       "  int i = 0; int s = 0;\n"
+                       "  while (i < 64) { g[i % 16] = i; s = s + g[i % 16]; "
+                       "i++; }\n"
+                       "  return s;\n"
+                       "}\n";
+  Context Ctx;
+  std::string Err;
+  auto M = compileMiniC(Source, Ctx, "bench", Err);
+  optimizeModule(*M, OptLevel::O2);
+  ExecOptions Opts;
+  Opts.Engine =
+      State.range(0) == 0 ? VMEngine::Reference : VMEngine::Precompiled;
+  State.SetLabel(vmEngineName(Opts.Engine));
+  for (auto _ : State) {
+    ExecResult R = runModule(*M, Opts);
+    benchmark::DoNotOptimize(R.Cost);
+  }
+}
+BENCHMARK(BM_RunModule)->Arg(0)->Arg(1);
 
 void BM_LowerToBinary(benchmark::State &State) {
   Context Ctx;

@@ -63,6 +63,9 @@ enum class ArtifactStage : uint8_t {
   PrecompiledModule, ///< Bytecode lowering of the O2 baseline: decoded
                      ///< once, shared by every precompiled-engine run of
                      ///< the workload.
+  Frontend,          ///< The workload's unoptimized frontend module: parsed
+                     ///< once, cloned by every stage that starts from
+                     ///< source. Memory-only.
   NumStages,
 };
 

@@ -71,9 +71,9 @@ uint64_t fingerprintFission(const FissionOptions &Opts) {
 
 //===----------------------------------------------------------------------===//
 // Disk-tier codecs. Only plain-data stages have one: the module-holding
-// stages (Baseline, FissionStage, PrecompiledModule) would need an IR
-// serializer to persist, and recompiling them is exactly what a disk-hit
-// on the downstream image/run/diff stages avoids anyway. Every codec
+// stages (Frontend, Baseline, FissionStage, PrecompiledModule) would need
+// an IR serializer to persist, and recompiling them is exactly what a
+// disk-hit on the downstream image/run/diff stages avoids anyway. Every codec
 // declines to Encode failure artifacts — a transient failure (frontend
 // bug under a fuzzer seed, a worker timeout) must not become permanent
 // across processes. Encodings reuse the diff-worker wire primitives, so
@@ -210,6 +210,30 @@ const ArtifactCodec &diffOutcomeCodec() {
 } // namespace
 
 std::shared_ptr<const CompiledWorkload>
+EvalPipeline::frontend(const Workload &W) {
+  ArtifactKey K{W.Name, ObfuscationMode::None, 0, ArtifactStage::Frontend, 0,
+                fingerprintSource(W)};
+  return Store.getOrCompute<CompiledWorkload>(
+      K, W.Source.size(), [&]() -> std::shared_ptr<const CompiledWorkload> {
+        auto Out = std::make_shared<CompiledWorkload>();
+        Out->Ctx = std::make_shared<Context>();
+        Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
+        return Out;
+      });
+}
+
+CompiledWorkload EvalPipeline::cloneFrontend(const Workload &W) {
+  std::shared_ptr<const CompiledWorkload> FE = frontend(W);
+  CompiledWorkload Out;
+  Out.Ctx = FE->Ctx;
+  if (FE->M)
+    Out.M = cloneModule(*FE->M);
+  else
+    Out.Error = FE->Error;
+  return Out;
+}
+
+std::shared_ptr<const CompiledWorkload>
 EvalPipeline::baseline(const Workload &W) {
   return baseline(W, Cfg.Baseline.Level);
 }
@@ -220,9 +244,7 @@ EvalPipeline::baseline(const Workload &W, OptLevel Level) {
                 static_cast<uint64_t>(Level), fingerprintSource(W)};
   return Store.getOrCompute<CompiledWorkload>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const CompiledWorkload> {
-        auto Out = std::make_shared<CompiledWorkload>();
-        Out->Ctx = std::make_shared<Context>();
-        Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
+        auto Out = std::make_shared<CompiledWorkload>(cloneFrontend(W));
         if (Out->M)
           optimizeModule(*Out->M, Level);
         return Out;
@@ -326,8 +348,10 @@ EvalPipeline::fissionStage(const Workload &W, const FissionOptions &Opts) {
   return Store.getOrCompute<FissionArtifact>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const FissionArtifact> {
         auto Out = std::make_shared<FissionArtifact>();
-        Out->Ctx = std::make_shared<Context>();
-        Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
+        CompiledWorkload FE = cloneFrontend(W);
+        Out->Ctx = std::move(FE.Ctx);
+        Out->M = std::move(FE.M);
+        Out->Error = std::move(FE.Error);
         if (!Out->M)
           return Out;
         Out->Phase = runFissionPhase(*Out->M, Opts);
@@ -366,8 +390,7 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
     Out.M = cloneModule(*FA->M);
     R = finishFissionMode(*Out.M, Mode, Opts, FA->Phase);
   } else {
-    Out.Ctx = std::make_shared<Context>();
-    Out.M = compileMiniC(W.Source, *Out.Ctx, W.Name, Out.Error);
+    Out = cloneFrontend(W);
     if (!Out.M)
       return Out;
     R = obfuscateModule(*Out.M, Mode, Opts);

@@ -8,18 +8,24 @@
 /// The end-to-end pipeline shared by all benchmarks, as a stage graph over
 /// a content-addressed ArtifactStore:
 ///
-///   MiniC source ──► Baseline ──► BaselineRun        (VM cost reference)
-///                       │
-///                       └───────► BaselineImage ──┐  (A-side of a diff)
-///   MiniC source ──► FissionStage ─ clone ─┐      │
-///                                          ▼      ▼
-///                    Obfuscated ──► ObfuscatedImage ──► diff tools
+///   MiniC source ──► Frontend                 (parsed once per workload)
+///
+///   Frontend ─ clone ─► Baseline ──► BaselineRun      (VM cost reference)
+///                          │
+///                          └───────► BaselineImage ──┐  (A-side of a diff)
+///   Frontend ─ clone ─► FissionStage ─ clone ─┐      │
+///                                             ▼      │
+///   Frontend ─ clone (other modes) ─────► Obfuscated │
+///                                             │      │
+///                                             ▼      ▼
+///                                      ObfuscatedImage ──► diff tools
 ///
 /// Every boxed stage is cached in the ArtifactStore keyed on
-/// (workload, mode, seed, stage): the baseline (and its A-side image) is
-/// built once per workload and shared by every obfuscation mode, and the
-/// FuFi modes clone the cached fission-stage module instead of re-running
-/// the whole fission prefix. Cached and uncached runs execute the same
+/// (workload, mode, seed, stage): the workload is parsed once into its
+/// Frontend module, the baseline (and its A-side image) is built once per
+/// workload and shared by every obfuscation mode, and the FuFi modes clone
+/// the cached fission-stage module instead of re-running the whole fission
+/// prefix. Cached and uncached runs execute the same
 /// code path — a disabled store recomputes per request — so results are
 /// bit-identical with the cache on or off. The default baseline
 /// configuration matches the paper — O2 with whole-program (LTO-style)
@@ -48,10 +54,12 @@
 
 namespace khaos {
 
-/// A compiled workload owns its Module. The Context is shared: a module
-/// cloned from a cached fission-stage artifact lives in the artifact's
-/// Context (type interning is mutex-guarded, see ir/Type.h), and keeping a
-/// reference here makes the artifact's lifetime a non-issue for callers.
+/// A compiled workload owns its Module. The Context is shared: every
+/// module of a workload is a clone of its Frontend artifact, or of a clone
+/// of it, and lives in that artifact's Context. Clones of one Context are
+/// transformed concurrently (type interning is mutex-guarded, see
+/// ir/Type.h; constants belong to each module), and keeping a reference
+/// here makes the artifact's lifetime a non-issue for callers.
 struct CompiledWorkload {
   std::shared_ptr<Context> Ctx;
   std::unique_ptr<Module> M;
@@ -135,6 +143,16 @@ public:
   // Cached stages. Artifacts are shared and immutable.
   //===--------------------------------------------------------------------===//
 
+  /// Stage Frontend: \p W lexed, parsed, lowered to IR and verified, not
+  /// optimized; keyed on the workload and its source fingerprint. Every
+  /// stage that starts from source (Baseline, FissionStage, the
+  /// non-fission branch of obfuscate) clones this module instead of
+  /// re-running the frontend, so a pipeline parses each workload once.
+  /// Memory-only: the stage has no codec and never reaches the disk tier.
+  /// With the store disabled (--no-cache) it recomputes per request, like
+  /// every stage.
+  std::shared_ptr<const CompiledWorkload> frontend(const Workload &W);
+
   /// Stage Baseline: compile \p W and optimize at \p Level, no
   /// obfuscation. Keyed per level; the no-argument form builds at the
   /// pipeline's configured baseline level.
@@ -187,7 +205,7 @@ public:
   std::shared_ptr<const ImageArtifact>
   baselineImage(const Workload &W, const BuildConfig &BC);
 
-  /// Stage FissionStage: compile + fission prefix, shared by the Fission
+  /// Stage FissionStage: frontend clone + fission prefix, shared by the Fission
   /// and FuFi.{sep,ori,all} modes (fission takes no seed, so the stage is
   /// keyed on the workload and the fission options alone). Consumers clone
   /// the module — never mutate it. cloneModule only reads it, so the
@@ -245,9 +263,10 @@ public:
   // Uncached products built from the stages.
   //===--------------------------------------------------------------------===//
 
-  /// Compiles \p W and applies \p Mode (obfuscate, then O2 per the paper).
-  /// Fission modes clone the cached FissionStage artifact and run only the
-  /// fusion suffix. The returned module is private to the caller.
+  /// Clones \p W's Frontend module and applies \p Mode (obfuscate, then
+  /// O2 per the paper). Fission modes clone the cached FissionStage
+  /// artifact instead and run only the fusion suffix. The returned module
+  /// is private to the caller.
   CompiledWorkload obfuscate(const Workload &W, ObfuscationMode Mode,
                              ObfuscationResult *StatsOut = nullptr,
                              uint64_t Seed = 0xc906);
@@ -290,6 +309,10 @@ public:
   const ArtifactStore &store() const { return Store; }
 
 private:
+  /// A private copy of \p W's Frontend module, in the artifact's Context
+  /// (or the frontend's error).
+  CompiledWorkload cloneFrontend(const Workload &W);
+
   Config Cfg;
   ArtifactStore Store;
 };

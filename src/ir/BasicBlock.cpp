@@ -59,6 +59,16 @@ void BasicBlock::erase(Instruction *I) {
   take(I); // Ownership drops here, destroying I.
 }
 
+void BasicBlock::splice(BasicBlock &From) {
+  assert(!getTerminator() && "splicing past the terminator");
+  Insts.reserve(Insts.size() + From.Insts.size());
+  for (auto &I : From.Insts) {
+    I->setParent(this);
+    Insts.push_back(std::move(I));
+  }
+  From.Insts.clear();
+}
+
 std::vector<BasicBlock *> BasicBlock::successors() const {
   if (Instruction *T = getTerminator())
     return T->successors();

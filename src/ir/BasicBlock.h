@@ -16,6 +16,8 @@
 
 #include "ir/Instruction.h"
 
+#include <algorithm>
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,10 +71,36 @@ public:
   /// Unlinks and destroys \p I (must have no users).
   void erase(Instruction *I);
 
+  /// Destroys, back to front, every instruction for which \p Dead returns
+  /// true, then closes the gaps in one pass. Destroying an instruction
+  /// releases its operands, so \p Dead already sees that on the
+  /// instructions before it. Each must have no users when it goes.
+  /// Returns whether any instruction was destroyed.
+  template <typename PredT> bool eraseIf(PredT Dead) {
+    bool Any = false;
+    for (size_t Idx = Insts.size(); Idx-- > 0;)
+      if (Dead(Insts[Idx].get())) {
+        assert(!Insts[Idx]->hasUses() &&
+               "erasing instruction that still has users");
+        Insts[Idx].reset();
+        Any = true;
+      }
+    if (Any)
+      Insts.erase(std::remove(Insts.begin(), Insts.end(), nullptr),
+                  Insts.end());
+    return Any;
+  }
+
+  /// Moves every instruction of \p From, in order, to the end of this
+  /// block, which must have no terminator. \p From is left empty.
+  void splice(BasicBlock &From);
+
   /// Blocks this block can transfer control to.
   std::vector<BasicBlock *> successors() const;
 
-  /// Blocks that can transfer control here (scans the parent function).
+  /// Blocks that can transfer control here, each once, in layout order.
+  /// Every call scans the whole parent function and allocates, so a pass
+  /// that asks for many blocks' predecessors should build the lists once.
   std::vector<BasicBlock *> predecessors() const;
 
   /// Splits this block before \p Pos: instructions from \p Pos onwards move

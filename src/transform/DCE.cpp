@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Module.h"
+#include "support/PtrIndex.h"
 #include "transform/Pass.h"
 
 #include <set>
@@ -33,31 +34,25 @@ private:
 
 } // namespace
 
+/// Each round sweeps every block once from the back, destroying in place
+/// the instructions that are dead now or that the round doomed (the stores
+/// of an alloca nothing reads), and closing the gaps once per block. The
+/// two rules only ever remove uses, so neither undoes the other's
+/// eligibility and the rounds reach the same fixpoint in any order;
+/// removal keeps the order of every remaining use list.
 bool DCEPass::runOnFunction(Function &F) {
   bool Any = false;
+  PtrIndex<Instruction> Doomed;
   bool Changed = true;
   while (Changed) {
-    Changed = false;
-    for (const auto &BB : F.blocks()) {
-      for (size_t Idx = BB->size(); Idx-- > 0;) {
-        Instruction *I = BB->getInst(Idx);
-        if (I->hasUses() || I->isTerminator())
+    // Allocas whose only uses are stores can vanish with their stores: the
+    // stores go in this round's sweep, the alloca in the next one.
+    Doomed.reset(0);
+    for (const auto &BB : F.blocks())
+      for (const auto &Owned : BB->insts()) {
+        if (Owned->getOpcode() != Opcode::Alloca || !Owned->hasUses())
           continue;
-        if (I->mayHaveSideEffects()) {
-          // Dead stores into a dead alloca are handled below.
-          continue;
-        }
-        BB->erase(I);
-        Changed = true;
-      }
-    }
-
-    // Allocas whose only uses are stores can vanish with their stores.
-    for (const auto &BB : F.blocks()) {
-      for (size_t Idx = BB->size(); Idx-- > 0;) {
-        auto *AI = dyn_cast<AllocaInst>(BB->getInst(Idx));
-        if (!AI)
-          continue;
+        const Instruction *AI = Owned.get();
         bool OnlyStores = true;
         for (Instruction *U : AI->users()) {
           auto *SI = dyn_cast<StoreInst>(U);
@@ -66,15 +61,21 @@ bool DCEPass::runOnFunction(Function &F) {
             break;
           }
         }
-        if (!OnlyStores || !AI->hasUses())
-          continue;
-        std::vector<Instruction *> Stores(AI->users().begin(),
-                                         AI->users().end());
-        for (Instruction *S : Stores)
-          S->getParent()->erase(S);
-        Changed = true;
+        if (OnlyStores)
+          for (Instruction *U : AI->users())
+            Doomed.insert(U, 0);
       }
-    }
+
+    // Dead stores into a dead alloca are the only side-effecting
+    // instructions that go.
+    Changed = false;
+    for (const auto &BB : F.blocks())
+      Changed |= BB->eraseIf([&Doomed](const Instruction *I) {
+        if (I->hasUses() || I->isTerminator())
+          return false;
+        return !I->mayHaveSideEffects() ||
+               Doomed.lookup(I) != PtrIndex<Instruction>::None;
+      });
     Any |= Changed;
   }
   return Any;

@@ -18,9 +18,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Module.h"
+#include "support/PtrIndex.h"
 #include "transform/Pass.h"
-
-#include <set>
 
 using namespace khaos;
 
@@ -45,21 +44,34 @@ bool foldConstantBranches(Function &F) {
   return Changed;
 }
 
+/// Dense numbering of a function's blocks in layout order.
+PtrIndex<BasicBlock> numberBlocks(const Function &F) {
+  PtrIndex<BasicBlock> Num;
+  Num.reset(F.blocks().size());
+  for (size_t B = 0, E = F.blocks().size(); B != E; ++B)
+    Num.insert(F.blocks()[B].get(), B);
+  return Num;
+}
+
 bool removeUnreachable(Function &F) {
-  std::set<BasicBlock *> Reachable;
+  PtrIndex<BasicBlock> Num = numberBlocks(F);
+  std::vector<char> Reachable(F.blocks().size(), 0);
   std::vector<BasicBlock *> Work{F.getEntryBlock()};
   while (!Work.empty()) {
     BasicBlock *BB = Work.back();
     Work.pop_back();
-    if (!Reachable.insert(BB).second)
+    char &Mark = Reachable[Num.lookup(BB)];
+    if (Mark)
       continue;
-    for (BasicBlock *S : BB->successors())
-      Work.push_back(S);
+    Mark = 1;
+    if (Instruction *T = BB->getTerminator())
+      for (BasicBlock *S : T->successors())
+        Work.push_back(S);
   }
   std::vector<BasicBlock *> Dead;
-  for (const auto &BB : F.blocks())
-    if (!Reachable.count(BB.get()))
-      Dead.push_back(BB.get());
+  for (size_t B = 0, E = F.blocks().size(); B != E; ++B)
+    if (!Reachable[B])
+      Dead.push_back(F.blocks()[B].get());
   if (Dead.empty())
     return false;
   // Dead blocks may reference each other; freeing a value clears the
@@ -70,57 +82,74 @@ bool removeUnreachable(Function &F) {
 }
 
 bool threadForwarders(Function &F) {
+  // The source block of every edge into each block, kept exact as edges
+  // move: only this loop moves them.
+  PtrIndex<BasicBlock> Num = numberBlocks(F);
+  std::vector<std::vector<BasicBlock *>> Preds(F.blocks().size());
+  for (const auto &BB : F.blocks())
+    if (Instruction *T = BB->getTerminator())
+      for (BasicBlock *S : T->successors())
+        Preds[Num.lookup(S)].push_back(BB.get());
+
   bool Changed = false;
-  for (const auto &BB : F.blocks()) {
-    if (BB.get() == F.getEntryBlock() || BB->size() != 1)
+  for (size_t B = 0, E = F.blocks().size(); B != E; ++B) {
+    BasicBlock *BB = F.blocks()[B].get();
+    if (BB == F.getEntryBlock() || BB->size() != 1)
       continue;
     auto *BR = dyn_cast<BranchInst>(BB->front());
     if (!BR || BR->isConditional())
       continue;
     BasicBlock *Target = BR->getSuccessor(0);
-    if (Target == BB.get())
+    if (Target == BB)
       continue; // Self loop.
-    for (BasicBlock *P : BB->predecessors())
-      P->getTerminator()->replaceSuccessor(BB.get(), Target);
+    std::vector<BasicBlock *> &TargetPreds = Preds[Num.lookup(Target)];
+    for (BasicBlock *P : Preds[B]) {
+      P->getTerminator()->replaceSuccessor(BB, Target);
+      TargetPreds.push_back(P);
+    }
+    Preds[B].clear();
     Changed = true; // Now unreachable; removed next round.
   }
   return Changed;
 }
 
 bool mergeChains(Function &F) {
-  bool Changed = true, Any = false;
-  while (Changed) {
-    Changed = false;
-    for (const auto &BBOwner : F.blocks()) {
-      BasicBlock *BB = BBOwner.get();
-      Instruction *T = BB->getTerminator();
-      auto *BR = dyn_cast_or_null<BranchInst>(T);
-      if (!BR || BR->isConditional())
-        continue;
-      BasicBlock *Succ = BR->getSuccessor(0);
-      if (Succ == BB || Succ == F.getEntryBlock())
-        continue;
-      if (Succ->predecessors().size() != 1)
-        continue;
-      if (!Succ->empty() && isa<LandingPadInst>(Succ->front()))
-        continue; // Must stay an invoke unwind target.
-      // Merge Succ into BB.
-      BB->erase(BR);
-      while (!Succ->empty()) {
-        Instruction *I = Succ->front();
-        std::unique_ptr<Instruction> Owned = Succ->take(I);
-        I->setParent(BB);
-        // push() asserts on a terminator mid-block, so append manually via
-        // insertAt at the end.
-        BB->insertAt(BB->size(), Owned.release());
-      }
-      F.eraseBlock(Succ);
-      Changed = true;
-      Any = true;
-      break; // Block list mutated; restart the scan.
+  // Edges into each block. Succ merges only when its one edge comes from
+  // an unconditional branch, so counting edges decides as counting unique
+  // predecessors would. Merging Succ into BB hands Succ's outgoing edges
+  // to BB, whose one edge went to Succ, so no remaining block's count
+  // changes and the counts stay exact for the whole call.
+  PtrIndex<BasicBlock> Num = numberBlocks(F);
+  const size_t NB = F.blocks().size();
+  std::vector<unsigned> NumEdges(NB, 0);
+  for (const auto &BB : F.blocks())
+    if (Instruction *T = BB->getTerminator())
+      for (BasicBlock *S : T->successors())
+        ++NumEdges[Num.lookup(S)];
+
+  // A merge changes no other block's eligibility, so after one the scan
+  // stays at BB, which may now merge with its new successor. Merged blocks
+  // stay in the list, empty, until the scan ends.
+  std::vector<BasicBlock *> Merged;
+  for (size_t B = 0; B != NB;) {
+    BasicBlock *BB = F.blocks()[B].get();
+    auto *BR = dyn_cast_or_null<BranchInst>(BB->getTerminator());
+    BasicBlock *Succ = BR && !BR->isConditional() ? BR->getSuccessor(0)
+                                                  : nullptr;
+    if (!Succ || Succ == BB || Succ == F.getEntryBlock() ||
+        NumEdges[Num.lookup(Succ)] != 1 ||
+        // Landing pads must stay invoke unwind targets.
+        (!Succ->empty() && isa<LandingPadInst>(Succ->front()))) {
+      ++B;
+      continue;
     }
+    BB->erase(BR);
+    BB->splice(*Succ);
+    Merged.push_back(Succ);
   }
-  return Any;
+  for (BasicBlock *Succ : Merged)
+    F.eraseBlock(Succ);
+  return !Merged.empty();
 }
 
 class SimplifyCFGPass : public Pass {

@@ -7,8 +7,11 @@
 #include "vm/Bytecode.h"
 
 #include "ir/Module.h"
+#include "support/PtrIndex.h"
 #include "vm/VMRuntime.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 using namespace khaos;
@@ -47,33 +50,109 @@ bool producesValue(const Instruction *I) {
   }
 }
 
+/// Constant bit pattern -> constant-pool index: open addressing over a
+/// flat table, so a lookup is a probe or two and an insert allocates
+/// nothing until the table doubles.
+class ConstIndex {
+public:
+  static constexpr uint32_t None = ~0u;
+
+  /// Empties the table, keeping its storage.
+  void clear() {
+    if (Slots.empty())
+      Slots.resize(64);
+    std::fill(Slots.begin(), Slots.end(), Entry{0, None});
+    Size = 0;
+  }
+  /// The index of \p Key, or None.
+  uint32_t lookup(uint64_t Key) const {
+    for (size_t S = home(Key);; S = (S + 1) & (Slots.size() - 1))
+      if (Slots[S].Val == None || Slots[S].Key == Key)
+        return Slots[S].Val;
+  }
+  /// Maps \p Key, which must not be in the table yet, to \p Val.
+  void insert(uint64_t Key, uint32_t Val) {
+    if (2 * (Size + 1) > Slots.size()) {
+      std::vector<Entry> Old(Slots.size() * 2, Entry{0, None});
+      Old.swap(Slots);
+      for (const Entry &E : Old)
+        if (E.Val != None)
+          place(E.Key, E.Val);
+    }
+    place(Key, Val);
+    ++Size;
+  }
+
+private:
+  struct Entry {
+    uint64_t Key;
+    uint32_t Val;
+  };
+  size_t home(uint64_t Key) const {
+    return ((Key * 0x9E3779B97F4A7C15ull) >> 32) & (Slots.size() - 1);
+  }
+  void place(uint64_t Key, uint32_t Val) {
+    size_t S = home(Key);
+    while (Slots[S].Val != None)
+      S = (S + 1) & (Slots.size() - 1);
+    Slots[S] = {Key, Val};
+  }
+
+  std::vector<Entry> Slots;
+  size_t Size = 0;
+};
+
+/// Lowers the functions of one module. The per-function tables are dense
+/// and reset, not reallocated, between functions.
 struct FunctionDecoder {
+  FunctionDecoder(const PrecompileOptions &PO,
+                  const std::map<const Function *, uint32_t> &FuncIdx,
+                  const std::map<const Function *, uint64_t> &FuncAddrs,
+                  const std::map<const GlobalVariable *, uint64_t> &GlobalAddrs)
+      : PO(PO), FuncIdx(FuncIdx), FuncAddrs(FuncAddrs),
+        GlobalAddrs(GlobalAddrs) {}
+
   const PrecompileOptions &PO;
   const std::map<const Function *, uint32_t> &FuncIdx;
   const std::map<const Function *, uint64_t> &FuncAddrs;
   const std::map<const GlobalVariable *, uint64_t> &GlobalAddrs;
-  BCFunction &BF;
+  BCFunction *BF = nullptr; ///< The function being lowered.
 
-  std::map<const Value *, uint32_t> RegMap;
-  std::map<uint64_t, uint32_t> ConstMap;
-  std::map<const BasicBlock *, uint32_t> BlockIdx;
+  PtrIndex<Value> RegMap;
+  ConstIndex ConstMap;
+  PtrIndex<BasicBlock> BlockIdx;
 
-  void decode(const Function &F);
+  void decode(const Function &F, BCFunction &Out);
 
   BCInst &emit(BC Op) {
-    BF.Code.emplace_back();
-    BF.Code.back().Op = Op;
-    return BF.Code.back();
+    BF->Code.emplace_back();
+    BF->Code.back().Op = Op;
+    return BF->Code.back();
   }
 
   uint32_t constSlot(uint64_t Bits) {
-    auto It = ConstMap.find(Bits);
-    if (It != ConstMap.end())
-      return BF.NumRegs + It->second;
-    uint32_t K = static_cast<uint32_t>(BF.ConstPool.size());
-    ConstMap.emplace(Bits, K);
-    BF.ConstPool.push_back(static_cast<int64_t>(Bits));
-    return BF.NumRegs + K;
+    uint32_t K = ConstMap.lookup(Bits);
+    if (K != ConstIndex::None)
+      return BF->NumRegs + K;
+    K = static_cast<uint32_t>(BF->ConstPool.size());
+    ConstMap.insert(Bits, K);
+    BF->ConstPool.push_back(static_cast<int64_t>(Bits));
+    return BF->NumRegs + K;
+  }
+
+  /// The register of a value-producing instruction of the function. Pass A
+  /// numbers every such instruction; a miss reads as register 0.
+  uint32_t regOf(const Instruction *I) const {
+    unsigned R = RegMap.lookup(I);
+    assert(R != PtrIndex<Value>::None && "instruction has no register");
+    return R == PtrIndex<Value>::None ? 0 : R;
+  }
+
+  /// The index of a block of the function; a block of another function
+  /// (malformed IR) reads as block 0.
+  uint32_t blockOf(const BasicBlock *BB) const {
+    unsigned B = BlockIdx.lookup(BB);
+    return B == PtrIndex<BasicBlock>::None ? 0 : B;
   }
 
   uint32_t slotOf(const Value *V) {
@@ -99,12 +178,12 @@ struct FunctionDecoder {
       return constSlot(addrOf(FuncAddrs, cast<Function>(V)));
     case ValueKind::Argument:
     case ValueKind::Instruction: {
-      auto It = RegMap.find(V);
+      unsigned R = RegMap.lookup(V);
       // Verified IR guarantees every use resolves; a reference into another
       // function (malformed IR) reads a zero constant instead.
-      if (It == RegMap.end())
+      if (R == PtrIndex<Value>::None)
         return constSlot(0);
-      return It->second;
+      return R;
     }
     }
     return constSlot(0);
@@ -136,8 +215,8 @@ bool FunctionDecoder::tryFuseCmpBr(const BasicBlock *BB, size_t I) {
   In.Sub = static_cast<uint8_t>(CI->getPredicate());
   In.A = slotOf(CI->getLHS());
   In.B = slotOf(CI->getRHS());
-  In.C = BlockIdx[BR->getTrueDest()];
-  In.Aux = BlockIdx[BR->getFalseDest()];
+  In.C = blockOf(BR->getTrueDest());
+  In.Aux = blockOf(BR->getFalseDest());
   return true;
 }
 
@@ -172,7 +251,7 @@ void FunctionDecoder::emitCall(const CallInst *CI) {
   const Function *Callee = CI->getCalledFunction();
   uint32_t Dest = BCNoReg;
   if (CI->getType() && !CI->getType()->isVoid())
-    Dest = RegMap[CI];
+    Dest = regOf(CI);
   unsigned Argc = CI->getNumArgs();
 
   if (PO.Superinstructions && !IV && Callee && Argc <= 4 &&
@@ -190,9 +269,9 @@ void FunctionDecoder::emitCall(const CallInst *CI) {
     return;
   }
 
-  uint32_t PoolStart = static_cast<uint32_t>(BF.ArgPool.size());
+  uint32_t PoolStart = static_cast<uint32_t>(BF->ArgPool.size());
   for (unsigned A = 0; A != Argc; ++A)
-    BF.ArgPool.push_back({slotOf(CI->getArg(A)), CI->getArg(A)->getType()});
+    BF->ArgPool.push_back({slotOf(CI->getArg(A)), CI->getArg(A)->getType()});
   BCInst &In = emit(BC::CallOp);
   In.A = Dest;
   In.N = static_cast<uint16_t>(Argc);
@@ -205,8 +284,8 @@ void FunctionDecoder::emitCall(const CallInst *CI) {
   }
   if (IV) {
     In.Sub |= 1;
-    In.C = BlockIdx[IV->getNormalDest()];
-    In.Imm = BlockIdx[IV->getUnwindDest()];
+    In.C = blockOf(IV->getNormalDest());
+    In.Imm = blockOf(IV->getUnwindDest());
   }
 }
 
@@ -215,13 +294,13 @@ void FunctionDecoder::emitInst(const Instruction *I) {
   case Opcode::Alloca: {
     const auto *AI = cast<AllocaInst>(I);
     BCInst &In = emit(BC::AllocaOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.Imm = (AI->getAllocatedType()->getStoreSize() + 7) & ~7ull;
     break;
   }
   case Opcode::Load: {
     BCInst &In = emit(BC::LoadOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(I->getOperand(0));
     In.Sub = static_cast<uint8_t>(I->getType()->getKind());
     break;
@@ -240,7 +319,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
                                BC::ShlI, BC::AShrI, BC::LShrI, BC::AddF,
                                BC::SubF, BC::MulF,  BC::DivF};
     BCInst &In = emit(OpFor[static_cast<unsigned>(BO->getBinOp())]);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(BO->getLHS());
     In.C = slotOf(BO->getRHS());
     In.Sub = static_cast<uint8_t>(I->getType()->getKind());
@@ -250,7 +329,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
     const auto *CI = cast<CmpInst>(I);
     BCInst &In = emit(
         CI->getLHS()->getType()->isFloatingPoint() ? BC::CmpFOp : BC::CmpIOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(CI->getLHS());
     In.C = slotOf(CI->getRHS());
     In.Sub = static_cast<uint8_t>(CI->getPredicate());
@@ -259,7 +338,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
   case Opcode::Cast: {
     const auto *CI = cast<CastInst>(I);
     BCInst &In = emit(BC::CastOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(CI->getSource());
     In.Sub = static_cast<uint8_t>(CI->getCastKind());
     In.N = static_cast<uint16_t>(
@@ -270,7 +349,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
   case Opcode::GEP: {
     const auto *G = cast<GEPInst>(I);
     BCInst &In = emit(BC::GEPOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(G->getPointer());
     In.C = slotOf(G->getIndex());
     In.Imm = G->getElementSize();
@@ -278,7 +357,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
   }
   case Opcode::Select: {
     BCInst &In = emit(BC::SelectOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     In.B = slotOf(I->getOperand(0));
     In.C = slotOf(I->getOperand(1));
     In.Aux = slotOf(I->getOperand(2));
@@ -286,7 +365,7 @@ void FunctionDecoder::emitInst(const Instruction *I) {
   }
   case Opcode::LandingPad: {
     BCInst &In = emit(BC::LandingPadOp);
-    In.A = RegMap[I];
+    In.A = regOf(I);
     break;
   }
   case Opcode::Call:
@@ -298,11 +377,11 @@ void FunctionDecoder::emitInst(const Instruction *I) {
     if (BR->isConditional()) {
       BCInst &In = emit(BC::BrCond);
       In.A = slotOf(BR->getCondition());
-      In.B = BlockIdx[BR->getTrueDest()];
-      In.C = BlockIdx[BR->getFalseDest()];
+      In.B = blockOf(BR->getTrueDest());
+      In.C = blockOf(BR->getFalseDest());
     } else {
       BCInst &In = emit(BC::Jmp);
-      In.A = BlockIdx[BR->getSuccessor(0)];
+      In.A = blockOf(BR->getSuccessor(0));
     }
     break;
   }
@@ -310,11 +389,11 @@ void FunctionDecoder::emitInst(const Instruction *I) {
     const auto *SW = cast<SwitchInst>(I);
     BCInst &In = emit(BC::SwitchOp);
     In.A = slotOf(SW->getCondition());
-    In.B = BlockIdx[SW->getDefaultDest()];
+    In.B = blockOf(SW->getDefaultDest());
     In.N = static_cast<uint16_t>(SW->getNumCases());
-    In.Aux = static_cast<uint32_t>(BF.Cases.size());
+    In.Aux = static_cast<uint32_t>(BF->Cases.size());
     for (unsigned K = 0, E = SW->getNumCases(); K != E; ++K)
-      BF.Cases.push_back({SW->getCaseValue(K), BlockIdx[SW->getCaseDest(K)]});
+      BF->Cases.push_back({SW->getCaseValue(K), blockOf(SW->getCaseDest(K))});
     break;
   }
   case Opcode::Ret: {
@@ -339,8 +418,8 @@ void FunctionDecoder::emitInst(const Instruction *I) {
 }
 
 void FunctionDecoder::fixupTargets() {
-  auto PcOf = [this](uint32_t Blk) { return BF.BlockStartPc[Blk]; };
-  for (BCInst &In : BF.Code) {
+  auto PcOf = [this](uint32_t Blk) { return BF->BlockStartPc[Blk]; };
+  for (BCInst &In : BF->Code) {
     switch (In.Op) {
     case BC::Jmp:
       In.A = PcOf(In.A);
@@ -357,7 +436,7 @@ void FunctionDecoder::fixupTargets() {
     case BC::SwitchOp:
       In.B = PcOf(In.B);
       for (uint32_t K = In.Aux, E = In.Aux + In.N; K != E; ++K)
-        BF.Cases[K].Target = PcOf(BF.Cases[K].Target);
+        BF->Cases[K].Target = PcOf(BF->Cases[K].Target);
       break;
     case BC::CallOp:
       if (In.Sub & 1) {
@@ -371,38 +450,45 @@ void FunctionDecoder::fixupTargets() {
   }
 }
 
-void FunctionDecoder::decode(const Function &F) {
-  BF.F = &F;
-  BF.Kind = callKindOf(F);
-  BF.NumArgs = F.arg_size();
+void FunctionDecoder::decode(const Function &F, BCFunction &Out) {
+  BF = &Out;
+  BF->F = &F;
+  BF->Kind = callKindOf(F);
+  BF->NumArgs = F.arg_size();
   if (F.isDeclaration()) {
-    BF.NumRegs = BF.NumArgs;
-    BF.FrameSlots = BF.NumArgs;
+    BF->NumRegs = BF->NumArgs;
+    BF->FrameSlots = BF->NumArgs;
     return;
   }
 
   // Pass A: assign register slots to arguments and every value-producing
   // instruction in layout order. Layout order need not be dominance order,
   // so all slots exist before any operand is resolved.
+  size_t NumInsts = 0;
+  for (const auto &BB : F.blocks())
+    NumInsts += BB->size();
+  RegMap.reset(F.arg_size() + NumInsts);
+  ConstMap.clear();
+  BlockIdx.reset(F.blocks().size());
   uint32_t Next = 0;
   for (unsigned I = 0, E = F.arg_size(); I != E; ++I)
-    RegMap[F.getArg(I)] = Next++;
+    RegMap.insert(F.getArg(I), Next++);
   for (const auto &BB : F.blocks())
     for (size_t I = 0, E = BB->size(); I != E; ++I)
       if (producesValue(BB->getInst(I)))
-        RegMap[BB->getInst(I)] = Next++;
-  BF.NumRegs = Next;
+        RegMap.insert(BB->getInst(I), Next++);
+  BF->NumRegs = Next;
 
   uint32_t NB = 0;
   for (const auto &BB : F.blocks()) {
-    BlockIdx[BB.get()] = NB++;
-    BF.BlockNames.push_back(BB->getName());
+    BlockIdx.insert(BB.get(), NB++);
+    BF->BlockNames.push_back(BB->getName());
   }
 
   // Pass B: emit, fusing superinstructions over adjacent single-use chains.
   for (const auto &BBp : F.blocks()) {
     const BasicBlock *BB = BBp.get();
-    BF.BlockStartPc.push_back(static_cast<uint32_t>(BF.Code.size()));
+    BF->BlockStartPc.push_back(static_cast<uint32_t>(BF->Code.size()));
     size_t E = BB->size();
     size_t I = 0;
     while (I != E) {
@@ -423,12 +509,12 @@ void FunctionDecoder::decode(const Function &F) {
     // and trap, trap explicitly.
     if (E == 0 || !BB->getInst(E - 1)->isTerminator()) {
       BCInst &In = emit(BC::FellOff);
-      In.A = BlockIdx[BB];
+      In.A = blockOf(BB);
     }
   }
 
   fixupTargets();
-  BF.FrameSlots = BF.NumRegs + static_cast<uint32_t>(BF.ConstPool.size());
+  BF->FrameSlots = BF->NumRegs + static_cast<uint32_t>(BF->ConstPool.size());
 }
 
 } // namespace
@@ -462,13 +548,10 @@ void khaos::precompileModule(const Module &M, BytecodeModule &Out,
     FuncIdx[F.get()] = N++;
 
   Out.Funcs.resize(N);
+  FunctionDecoder D(PO, FuncIdx, FuncAddrs, GlobalAddrs);
   N = 0;
-  for (const auto &F : M.functions()) {
-    FunctionDecoder D{PO, FuncIdx, FuncAddrs, GlobalAddrs, Out.Funcs[N],
-                      {},  {},      {}};
-    D.decode(*F);
-    ++N;
-  }
+  for (const auto &F : M.functions())
+    D.decode(*F, Out.Funcs[N++]);
 
   const Function *Main = M.getFunction("main");
   if (Main && !Main->isDeclaration())

@@ -21,7 +21,6 @@
 #include "vm/VMRuntime.h"
 
 #include <cassert>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -170,16 +169,11 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
         return Leave(Bad);
       const auto *AI = cast<AllocaInst>(I);
       uint64_t Size = (AI->getAllocatedType()->getStoreSize() + 7) & ~7ull;
-      if (StackPtr + Size > HeapPtr / 2 + Mem.size() / 4) {
-        trap("stack overflow");
+      uint64_t Addr;
+      if (!allocaSlot(Size, Addr))
         return Leave(Bad);
-      }
       Slot S;
-      S.I = static_cast<int64_t>(StackPtr);
-      // Zero the slot: MiniC relies on deterministic memory for the
-      // semantic-equality oracle.
-      std::memset(Mem.data() + StackPtr, 0, Size);
-      StackPtr += Size;
+      S.I = static_cast<int64_t>(Addr);
       FR.Regs[I] = S;
       ++Idx;
       break;

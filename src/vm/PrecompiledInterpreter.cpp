@@ -288,16 +288,10 @@ dispatch_loop:
 
   OP(AllocaOp) {
     CHARGE(Opts.Costs.Alloca);
-    const uint64_t Size = In->Imm;
-    if (StackPtr + Size > HeapPtr / 2 + Mem.size() / 4) {
-      trap("stack overflow");
+    uint64_t Addr;
+    if (!allocaSlot(In->Imm, Addr))
       return Leave(Bad);
-    }
-    R[In->A].I = static_cast<int64_t>(StackPtr);
-    // Zero the slot: MiniC relies on deterministic memory for the
-    // semantic-equality oracle.
-    std::memset(Mem.data() + StackPtr, 0, Size);
-    StackPtr += Size;
+    R[In->A].I = static_cast<int64_t>(Addr);
     NEXT();
   }
 

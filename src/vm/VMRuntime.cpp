@@ -10,8 +10,63 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 using namespace khaos;
+
+//===----------------------------------------------------------------------===//
+// Memory images
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct FreeDeleter {
+  void operator()(uint8_t *P) const { std::free(P); }
+};
+
+struct PooledImage {
+  std::unique_ptr<uint8_t, FreeDeleter> Data;
+  uint64_t Size = 0;
+};
+
+/// Free all-zero images of this thread. Two cover a run nested in another;
+/// a third release drops the oldest.
+constexpr size_t MaxPooledImages = 2;
+thread_local std::vector<PooledImage> FreeImages;
+
+} // namespace
+
+void VMMemory::acquire(uint64_t Bytes) {
+  release();
+  for (size_t I = FreeImages.size(); I-- > 0;)
+    if (FreeImages[I].Size == Bytes) {
+      Data = FreeImages[I].Data.release();
+      FreeImages.erase(FreeImages.begin() + I);
+      Size = Bytes;
+      return;
+    }
+  // calloc hands large blocks over as untouched zero pages.
+  Data = static_cast<uint8_t *>(std::calloc(Bytes ? Bytes : 1, 1));
+  if (!Data)
+    throw std::bad_alloc();
+  Size = Bytes;
+}
+
+void VMMemory::release() {
+  if (!Data)
+    return;
+  if (LowEnd)
+    std::memset(Data, 0, LowEnd);
+  if (HighEnd)
+    std::memset(Data + heapBase(), 0, HighEnd - heapBase());
+  if (FreeImages.size() == MaxPooledImages)
+    FreeImages.erase(FreeImages.begin());
+  FreeImages.push_back({std::unique_ptr<uint8_t, FreeDeleter>(Data), Size});
+  Data = nullptr;
+  Size = LowEnd = HighEnd = 0;
+}
 
 void khaos::computeAddressMap(
     const Module &M, std::map<const Function *, uint64_t> &FuncAddrs,
@@ -50,6 +105,19 @@ bool VMRuntime::storeBytes(uint64_t Addr, const void *In, uint64_t Size) {
                           (unsigned long long)Size,
                           (unsigned long long)Addr));
   std::memcpy(Mem.data() + Addr, In, Size);
+  Mem.noteWrite(Addr, Size);
+  return true;
+}
+
+bool VMRuntime::allocaSlot(uint64_t Size, uint64_t &Addr) {
+  if (StackPtr + Size > Mem.heapBase())
+    return trap("stack overflow");
+  Addr = StackPtr;
+  // Zero the slot: MiniC relies on deterministic memory for the
+  // semantic-equality oracle. Zeros leave the image clean, so this write
+  // needs no noteWrite.
+  std::memset(Mem.data() + StackPtr, 0, Size);
+  StackPtr += Size;
   return true;
 }
 
@@ -165,7 +233,7 @@ int64_t VMRuntime::constantValue(const Constant *C) {
 }
 
 bool VMRuntime::layoutGlobals() {
-  Mem.assign(Opts.MemoryBytes, 0);
+  Mem.acquire(Opts.MemoryBytes);
 
   // Function address space first (tagged constants in initializers need
   // addresses).
@@ -207,7 +275,7 @@ bool VMRuntime::layoutGlobals() {
 
   // Stack after globals, heap in the upper half.
   StackPtr = (Next + 63) & ~63ull;
-  HeapPtr = Mem.size() / 2;
+  HeapPtr = Mem.heapBase();
   HeapEnd = Mem.size();
   return true;
 }
@@ -219,7 +287,7 @@ bool VMRuntime::layoutGlobals() {
 std::string VMRuntime::readCString(uint64_t Addr) {
   std::string Out;
   while (validRange(Addr, 1)) {
-    char C = static_cast<char>(Mem[Addr]);
+    char C = static_cast<char>(Mem.data()[Addr]);
     if (!C)
       return Out;
     Out += C;

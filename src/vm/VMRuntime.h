@@ -54,6 +54,52 @@ void computeAddressMap(const Module &M,
                        std::map<const Function *, uint64_t> &FuncAddrs,
                        std::map<const GlobalVariable *, uint64_t> &GlobalAddrs);
 
+/// The byte-addressed memory of one run: globals and the stack grow up from
+/// the bottom, the heap from heapBase() at the middle.
+///
+/// Images come from a per-thread pool and go back to it when the run ends,
+/// so a run pays for the bytes it wrote, not for the size of its address
+/// space. Every write to an image goes through noteWrite() (stores) or
+/// writes zeros (alloca slots), so two dirty ranges bound what a run can
+/// have left nonzero: everything below the highest byte written under
+/// heapBase(), and the heap up to the highest byte written at or above
+/// it. Releasing the image re-zeroes just those two ranges, and every run
+/// still starts from all-zero memory. A run that finds no free image of
+/// its size (the first run on a thread, a run nested in another, a new
+/// MemoryBytes) allocates a zeroed one.
+class VMMemory {
+public:
+  VMMemory() = default;
+  VMMemory(const VMMemory &) = delete;
+  VMMemory &operator=(const VMMemory &) = delete;
+  ~VMMemory() { release(); }
+
+  /// Takes an all-zero image of \p Bytes bytes.
+  void acquire(uint64_t Bytes);
+
+  uint8_t *data() const { return Data; }
+  uint64_t size() const { return Size; }
+  /// First heap byte. The stack must stay below it.
+  uint64_t heapBase() const { return Size / 2; }
+
+  /// Records a write of \p Len bytes at \p Addr (already range-checked).
+  void noteWrite(uint64_t Addr, uint64_t Len) {
+    uint64_t &End = Addr < heapBase() ? LowEnd : HighEnd;
+    if (Addr + Len > End)
+      End = Addr + Len;
+  }
+
+private:
+  /// Re-zeroes the dirty ranges and returns the image to this thread's
+  /// pool.
+  void release();
+
+  uint8_t *Data = nullptr;
+  uint64_t Size = 0;
+  uint64_t LowEnd = 0;  ///< One past the highest byte written below the heap.
+  uint64_t HighEnd = 0; ///< One past the highest heap byte written.
+};
+
 /// Base class holding the machine state of one program execution.
 class VMRuntime {
 public:
@@ -96,6 +142,11 @@ protected:
   bool loadTyped(uint64_t Addr, const Type *Ty, Slot &Out);
   bool storeTyped(uint64_t Addr, const Type *Ty, Slot V);
 
+  /// Reserves a zeroed \p Size-byte stack slot for an alloca at \p Addr.
+  /// Traps "stack overflow" (and returns false) where the slot would reach
+  /// the heap base, whatever the heap holds.
+  bool allocaSlot(uint64_t Size, uint64_t &Addr);
+
   /// Records the first trap with its location suffix; always returns false
   /// so call sites can `return trap(...)`.
   bool trap(const std::string &Msg);
@@ -128,7 +179,7 @@ protected:
 
   const Module &M;
   const ExecOptions &Opts;
-  std::vector<uint8_t> Mem;
+  VMMemory Mem;
   uint64_t StackPtr = 0;
   uint64_t HeapPtr = 0;
   uint64_t HeapEnd = 0;

@@ -9,7 +9,8 @@
 /// independence of EvalPipeline::obfuscate over a (workload × mode)
 /// matrix, graceful error surfacing for failing workloads (in the compile
 /// matrix and in the diff plane), deterministic per-cell seeding, and the
-/// order-deterministic SeriesAccumulator.
+/// order-deterministic SeriesAccumulator, and the Frontend stage's
+/// one-parse-per-workload contract.
 /// (Cache/shard behaviour is covered by PipelineCacheTest.)
 ///
 //===----------------------------------------------------------------------===//
@@ -216,6 +217,68 @@ TEST(EvalScheduler, FailingWorkloadFailsOnlyItsDiffCells) {
   for (size_t I = 0; I != Cells.size(); ++I) {
     EXPECT_EQ(Cells[I].Ok, I / Modes.size() != 1) << "cell " << I;
     EXPECT_TRUE(Cells[I].PerTool.empty());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The Frontend stage
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t bitsOf(double D) {
+  uint64_t B;
+  std::memcpy(&B, &D, sizeof(B));
+  return B;
+}
+
+} // namespace
+
+// A pipeline parses each workload once: an overhead matrix over every mode
+// and then a precision matrix on the same pipeline miss the Frontend stage
+// once per workload, every other request clones the cached module. The
+// clones share the artifact's Context and are obfuscated concurrently at 4
+// threads; both matrices must still equal a --no-cache pipeline's, which
+// recompiles per request, bit for bit.
+TEST(EvalScheduler, FrontendStageParsesEachWorkloadOnce) {
+  std::vector<Workload> Suite = smallMatrixSuite();
+  const std::vector<ObfuscationMode> &Modes = allObfuscationModes();
+  ASSERT_EQ(Modes.size(), 12u);
+  const std::vector<std::string> Tools = {"BinDiff"};
+
+  EvalScheduler Uncached({/*Threads=*/4, /*Seed=*/0xc906,
+                          /*CacheEnabled=*/false});
+  auto WantOverhead = Uncached.overheadMatrix(Suite, Modes);
+  auto WantPrecision = Uncached.precisionMatrix(Suite, Modes, Tools);
+
+  for (unsigned Threads : {1u, 4u}) {
+    EvalScheduler Sched({Threads, /*Seed=*/0xc906});
+    auto Overhead = Sched.overheadMatrix(Suite, Modes);
+    auto Precision = Sched.precisionMatrix(Suite, Modes, Tools);
+    EXPECT_EQ(Sched.pipeline()
+                  .store()
+                  .stats()
+                  .stage(ArtifactStage::Frontend)
+                  .Misses,
+              Suite.size())
+        << Threads << " threads";
+
+    ASSERT_EQ(Overhead.size(), WantOverhead.size());
+    for (size_t I = 0; I != Overhead.size(); ++I) {
+      EXPECT_TRUE(Overhead[I].Ok) << "cell " << I;
+      EXPECT_EQ(Overhead[I].Ok, WantOverhead[I].Ok) << "cell " << I;
+      EXPECT_EQ(bitsOf(Overhead[I].Percent), bitsOf(WantOverhead[I].Percent))
+          << Threads << " threads, overhead cell " << I;
+    }
+    ASSERT_EQ(Precision.size(), WantPrecision.size());
+    for (size_t I = 0; I != Precision.size(); ++I) {
+      EXPECT_TRUE(Precision[I].Ok) << "cell " << I;
+      ASSERT_EQ(Precision[I].PerTool.size(), Tools.size());
+      ASSERT_EQ(WantPrecision[I].PerTool.size(), Tools.size());
+      EXPECT_EQ(bitsOf(Precision[I].PerTool[0]),
+                bitsOf(WantPrecision[I].PerTool[0]))
+          << Threads << " threads, precision cell " << I;
+    }
   }
 }
 
